@@ -15,6 +15,7 @@ from .errors import (
     InfeasibleStorage,
     InvalidBound,
     InvalidParams,
+    NonFiniteInput,
     NonPositiveNormalizer,
     OutOfDomain,
     SingleMemory,
@@ -29,10 +30,8 @@ from .poly_approx import (
 )
 from .feature_map import (
     MonomialFeatureMap,
-    MultiIndex,
     build_factor_matrices,
     build_feature_map,
-    enumerate_multi_indices,
     factored_col_sums,
     factored_row_sums,
 )

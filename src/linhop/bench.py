@@ -13,7 +13,8 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, asdict, field
+import typing
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -22,30 +23,13 @@ from .hopfield import (
     Normalization,
     PatternMatrix,
     RetrievalConfig,
-    lowrank_factors,
+    lowrank_error_bound,
     max_norm_error,
     retrieve_dense,
     retrieve_lowrank,
 )
 
 DENSE_COST_CAP_SECONDS = 30.0
-
-CSV_COLUMNS = [
-    "kind",
-    "tau",
-    "d",
-    "g",
-    "r_prime",
-    "B",
-    "beta",
-    "delta_a",
-    "wall_time_dense",
-    "wall_time_lowrank",
-    "measured_error",
-    "bound_2MBdA",
-    "seed",
-    "flag",
-]
 
 
 @dataclass
@@ -140,14 +124,14 @@ def runtime_scaling(
         rng = np.random.default_rng([seed, tau])
         memory = _random_patterns(rng, d, tau, B, "memory")
         queries = _random_patterns(rng, d, tau, B, "query")
-        _, _, poly, fmap, _ = lowrank_factors(memory, queries, cfg)
+        first_low = retrieve_lowrank(memory, queries, cfg)
         time_low = _median_time(
             lambda: retrieve_lowrank(memory, queries, cfg), repeats
         )
         flag = ""
         time_dense = float("nan")
         measured = float("nan")
-        bound = 2.0 * tau * memory.max_norm * delta_a
+        bound = lowrank_error_bound(tau, memory.max_norm, delta_a)
         if dense_skipped:
             flag = "dense-skipped"
         else:
@@ -163,15 +147,14 @@ def runtime_scaling(
                     lambda: retrieve_dense(memory, queries, cfg), repeats
                 )
             if tau in check_taus:
-                z_low = retrieve_lowrank(memory, queries, cfg)
-                measured = max_norm_error(z_low.Z, z_dense.Z)
+                measured = max_norm_error(first_low.Z, z_dense.Z)
         records.append(
             ExperimentRecord(
                 kind="scaling",
                 tau=tau,
                 d=d,
-                g=poly.degree,
-                r_prime=fmap.rank,
+                g=first_low.degree_used,
+                r_prime=first_low.rank_used,
                 B=B,
                 beta=beta,
                 delta_a=delta_a,
@@ -243,7 +226,7 @@ def error_sweep(
                 wall_time_dense=z_dense.wall_time,
                 wall_time_lowrank=elapsed,
                 measured_error=max_norm_error(out.Z, z_dense.Z),
-                bound_2MBdA=2.0 * M * memory.max_norm * da,
+                bound_2MBdA=lowrank_error_bound(M, memory.max_norm, da),
                 seed=seed,
             )
         )
@@ -303,7 +286,7 @@ def phase_sweep(
                 wall_time_dense=0.0,
                 wall_time_lowrank=elapsed,
                 measured_error=float("nan"),
-                bound_2MBdA=2.0 * tau * b * delta_a,
+                bound_2MBdA=lowrank_error_bound(tau, b, delta_a),
                 seed=seed,
                 flag=flag,
             )
@@ -312,36 +295,22 @@ def phase_sweep(
 
 
 def records_to_csv(records, path) -> None:
+    columns = [f.name for f in fields(ExperimentRecord)]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for rec in records:
             writer.writerow(asdict(rec))
 
 
 def records_from_csv(path):
-    records = []
+    # each column is parsed by its field's type: int, float or str
+    types = typing.get_type_hints(ExperimentRecord)
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                ExperimentRecord(
-                    kind=row["kind"],
-                    tau=int(row["tau"]),
-                    d=int(row["d"]),
-                    g=int(row["g"]),
-                    r_prime=int(row["r_prime"]),
-                    B=float(row["B"]),
-                    beta=float(row["beta"]),
-                    delta_a=float(row["delta_a"]),
-                    wall_time_dense=float(row["wall_time_dense"]),
-                    wall_time_lowrank=float(row["wall_time_lowrank"]),
-                    measured_error=float(row["measured_error"]),
-                    bound_2MBdA=float(row["bound_2MBdA"]),
-                    seed=int(row["seed"]),
-                    flag=row["flag"],
-                )
-            )
-    return records
+        return [
+            ExperimentRecord(**{name: types[name](row[name]) for name in types})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def machine_metadata() -> dict:

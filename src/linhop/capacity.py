@@ -19,6 +19,8 @@ from .hopfield import (
     Normalization,
     PatternMatrix,
     RetrievalConfig,
+    lowrank_error_bound,
+    pattern_radius,
     retrieve_dense,
     retrieve_lowrank,
     separation,
@@ -90,7 +92,7 @@ class CapacityParams:
     @property
     def error_margin(self) -> float:
         """delta_H = 2 M B delta_a."""
-        return 2.0 * self.M * self.B * self.delta_a
+        return lowrank_error_bound(self.M, self.B, self.delta_a)
 
 
 def well_separation_threshold(params: CapacityParams) -> float:
@@ -176,14 +178,8 @@ def run_capacity_experiment(
         memory = PatternMatrix(
             np.column_stack([_sample_sphere(rng, d, m) for _ in range(m_count)])
         )
-        if m_count >= 2:
-            x = memory.data.T
-            sq = np.sum(x * x, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-            np.fill_diagonal(d2, np.inf)
-            radius = 0.5 * math.sqrt(max(float(np.min(d2)), 0.0))
-        else:
-            radius = m  # lone pattern: any finite sphere works
+        # lone pattern: any finite sphere works
+        radius = pattern_radius(memory) if m_count >= 2 else m
         cfg = RetrievalConfig(
             beta=beta,
             delta_a=delta_a,
@@ -191,7 +187,7 @@ def run_capacity_experiment(
             max_degree=max_degree,
             rank_cap=rank_cap,
         )
-        margin = 2.0 * m_count * memory.max_norm * delta_a
+        margin = lowrank_error_bound(m_count, memory.max_norm, delta_a)
         eps_used = (radius / 2.0 + margin) if eps is None else eps
         probe = PatternMatrix(memory.data[:, :1], role="query")
         solver_name = "lowrank"

@@ -26,6 +26,7 @@ from .hopfield import (
     PatternMatrix,
     RetrievalConfig,
     dense_normalizers,
+    lowrank_error_bound,
     lowrank_normalizers,
     max_norm_error,
     retrieve_dense,
@@ -77,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file supplying default flag values")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            help="worker threads, 0 = auto (default 0)",
-        )
 
     p = sub.add_parser("approx-exp", help="fit the exp polynomial and save JSON")
     common(p)
@@ -269,15 +264,9 @@ def _cmd_capacity(args) -> int:
 def _cmd_reduction(args) -> int:
     d = args.d if args.d is not None else 8
     if args.plant is not None:
-        if args.plant == "case1":
-            inst = reduction.generate_balanced_instance(
-                args.n, d, args.t, args.delta,
-                planted=2 if args.t > 2 else 0, rng_seed=args.seed,
-            )
-        else:
-            inst = reduction.generate_clustered_case2_instance(
-                args.n, d, args.t, args.delta, rng_seed=args.seed
-            )
+        inst = reduction.planted_instance(
+            args.plant, args.n, d, args.t, args.delta, rng_seed=args.seed
+        )
         oracle = reduction.classify_queries(inst)
         decision = reduction.solve_gap_anns_via_ahop(inst, solver=args.solver)
         promised = [j for j, v in enumerate(oracle) if v != "indeterminate"]
@@ -352,7 +341,7 @@ def _verify_checks(seed: int):
         cfg = RetrievalConfig(beta=0.25, delta_a=1e-3, normalization=Normalization.MEMORY)
         zt = retrieve_lowrank(memory, queries, cfg)
         zd = retrieve_dense(memory, queries, cfg)
-        bound = 2.0 * memory.count * memory.max_norm * cfg.delta_a
+        bound = lowrank_error_bound(memory.count, memory.max_norm, cfg.delta_a)
         worst_ratio = max(worst_ratio, max_norm_error(zt.Z, zd.Z) / bound)
         d_tilde = lowrank_normalizers(memory, queries, cfg)
         d_exact = dense_normalizers(memory, queries, cfg)

@@ -25,6 +25,10 @@ class EmptyVector(LinhopError):
     """An operation received an empty vector where at least one entry is required."""
 
 
+class NonFiniteInput(LinhopError):
+    """Pattern data holds a NaN or an infinite entry."""
+
+
 class NonPositiveNormalizer(LinhopError):
     """An approximated softmax normalizer came out non-positive; refit with a smaller
     relative-error target."""

@@ -26,15 +26,6 @@ from .poly_approx import ExpPolynomial
 DEFAULT_RANK_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    exponents: tuple
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-
 def _compositions(total: int, parts: int):
     """All ways to write ``total`` as ordered sums of ``parts`` non-negative
     integers, ascending lexicographically."""
@@ -58,16 +49,6 @@ def _enumerate_exponents(d: int, g: int, cap: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def enumerate_multi_indices(d: int, g: int, cap: int = DEFAULT_RANK_CAP) -> list:
-    """All multi-indices alpha in N^d with |alpha| <= g, graded-lex ordered."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    exps = _enumerate_exponents(d, g, cap)
-    return [MultiIndex(tuple(int(e) for e in row)) for row in exps]
-
-
 @dataclass(frozen=True, eq=False)
 class MonomialFeatureMap:
     """Index set, weights, and single-multiplication build plan for the
@@ -82,9 +63,6 @@ class MonomialFeatureMap:
     # _vars[k-1] of the input row
     _parents: np.ndarray = field(repr=False)
     _vars: np.ndarray = field(repr=False)
-
-    def multi_indices(self) -> list:
-        return [MultiIndex(tuple(int(e) for e in row)) for row in self.exponents]
 
     def monomials(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate all monomials at each row of ``rows`` (shape n x d)."""

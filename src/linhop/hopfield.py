@@ -20,7 +20,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from . import poly_approx as pa
 from .errors import (
     DimensionMismatch,
     EmptyVector,
+    NonFiniteInput,
     NonPositiveNormalizer,
     SingleMemory,
 )
@@ -103,7 +104,7 @@ class PatternMatrix:
                 if line.strip()
             ]
         data = np.array(rows, dtype=float).reshape(len(rows), d).T
-        return cls(data, role=role, allow_empty=True)
+        return cls(_require_finite(data, path), role=role, allow_empty=True)
 
     def to_binary(self, path) -> None:
         with open(path, "wb") as fh:
@@ -117,7 +118,13 @@ class PatternMatrix:
             if magic != b"AHOP":
                 raise ValueError(f"bad magic in {path}")
             data = np.frombuffer(fh.read(8 * d * n), dtype="<f8").reshape(n, d).T
-        return cls(data.copy(), role=role, allow_empty=True)
+        return cls(_require_finite(data, path).copy(), role=role, allow_empty=True)
+
+
+def _require_finite(data: np.ndarray, path) -> np.ndarray:
+    if not np.isfinite(data).all():
+        raise NonFiniteInput(f"non-finite pattern entry in {path}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,10 @@ class RetrievalConfig:
             raise ValueError("beta must be positive")
         if not 0 < self.delta_a < 0.1:
             raise ValueError("delta_a must lie in (0, 0.1)")
+        if self.solver not in ("dense", "lowrank"):
+            raise ValueError(
+                f"solver must be 'dense' or 'lowrank', got {self.solver!r}"
+            )
 
 
 @dataclass(eq=False)
@@ -184,6 +195,17 @@ def _check_dims(memory: PatternMatrix, queries: PatternMatrix) -> None:
         raise DimensionMismatch(
             f"memory d={memory.d} but queries d={queries.d}"
         )
+    if memory.count == 0:
+        raise EmptyVector("retrieval needs at least one stored pattern")
+
+
+def _score_chunks(memory: PatternMatrix, queries: PatternMatrix, beta: float):
+    """Yield (cols, beta Xi^T X[:, cols]) over chunks of query columns."""
+    xi, x = memory.data, queries.data
+    chunk = max(1, DENSE_CHUNK_ELEMENTS // memory.count)
+    for lo in range(0, queries.count, chunk):
+        cols = slice(lo, min(lo + chunk, queries.count))
+        yield cols, beta * (xi.T @ x[:, cols])
 
 
 def retrieve_dense(
@@ -191,34 +213,26 @@ def retrieve_dense(
 ) -> RetrievalResult:
     """Exact softmax retrieval, Theta(dML), chunked over query columns."""
     _check_dims(memory, queries)
-    xi, x = memory.data, queries.data
-    m_count, l_count = memory.count, queries.count
+    xi = memory.data
     start = time.perf_counter()
 
-    chunk = max(1, DENSE_CHUNK_ELEMENTS // max(m_count, 1))
-    z = np.empty((memory.d, l_count))
+    z = np.empty((memory.d, queries.count))
     if cfg.normalization is Normalization.QUERY:
-        for lo in range(0, l_count, chunk):
-            cols = slice(lo, min(lo + chunk, l_count))
-            s = cfg.beta * (xi.T @ x[:, cols])
+        for cols, s in _score_chunks(memory, queries, cfg.beta):
             s -= s.max(axis=0, keepdims=True)
             w = np.exp(s)
             z[:, cols] = (xi @ w) / w.sum(axis=0, keepdims=True)
     else:
-        # row normalization needs global row maxima and row sums first
-        row_max = np.full(m_count, -np.inf)
-        for lo in range(0, l_count, chunk):
-            cols = slice(lo, min(lo + chunk, l_count))
-            s = cfg.beta * (xi.T @ x[:, cols])
-            row_max = np.maximum(row_max, s.max(axis=1))
-        row_sum = np.zeros(m_count)
-        for lo in range(0, l_count, chunk):
-            cols = slice(lo, min(lo + chunk, l_count))
-            s = cfg.beta * (xi.T @ x[:, cols])
-            row_sum += np.exp(s - row_max[:, None]).sum(axis=1)
-        for lo in range(0, l_count, chunk):
-            cols = slice(lo, min(lo + chunk, l_count))
-            s = cfg.beta * (xi.T @ x[:, cols])
+        # row normalization needs global row maxima and row sums first; one
+        # pass keeps a running max and rescales the running sum to it
+        row_max = np.full(memory.count, -np.inf)
+        row_sum = np.zeros(memory.count)
+        for _, s in _score_chunks(memory, queries, cfg.beta):
+            new_max = np.maximum(row_max, s.max(axis=1))
+            row_sum *= np.exp(row_max - new_max)
+            row_sum += np.exp(s - new_max[:, None]).sum(axis=1)
+            row_max = new_max
+        for cols, s in _score_chunks(memory, queries, cfg.beta):
             z[:, cols] = xi @ (np.exp(s - row_max[:, None]) / row_sum[:, None])
     return RetrievalResult(
         Z=z,
@@ -254,7 +268,10 @@ def lowrank_factors(
     """Fit the exp polynomial and build the factor pair (U1, U2) with
     U1 @ U2.T approximating exp(beta Xi^T X) entrywise to delta_a."""
     _check_dims(memory, queries)
-    b = max(memory.max_norm, queries.max_norm)
+    b_memory, b_queries = memory.max_norm, queries.max_norm
+    if not (math.isfinite(b_memory) and math.isfinite(b_queries)):
+        raise NonFiniteInput("low-rank retrieval needs finite pattern entries")
+    b = max(b_memory, b_queries)
     interval = b * b * cfg.beta * memory.d
     poly, fmap = _fitted_pair(
         interval, cfg.delta_a, cfg.max_degree, memory.d, cfg.rank_cap
@@ -266,15 +283,20 @@ def lowrank_factors(
     return u1, u2, poly, fmap, b
 
 
+def _factored_normalizer(u1, u2, normalization: Normalization) -> np.ndarray:
+    """Row sums of U1 @ U2.T for MEMORY, column sums for QUERY."""
+    if normalization is Normalization.MEMORY:
+        return fm.factored_row_sums(u1, u2)
+    return fm.factored_col_sums(u1, u2)
+
+
 def lowrank_normalizers(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ) -> np.ndarray:
     """Approximated normalizer vector (row sums for MEMORY, column sums for
     QUERY) from the factored form."""
     u1, u2, _, _, _ = lowrank_factors(memory, queries, cfg)
-    if cfg.normalization is Normalization.MEMORY:
-        return fm.factored_row_sums(u1, u2)
-    return fm.factored_col_sums(u1, u2)
+    return _factored_normalizer(u1, u2, cfg.normalization)
 
 
 def dense_normalizers(
@@ -298,28 +320,30 @@ def retrieve_lowrank(
     start = time.perf_counter()
     u1, u2, poly, fmap, b = lowrank_factors(memory, queries, cfg)
     xi = memory.data
-
-    if cfg.normalization is Normalization.MEMORY:
-        d_tilde = fm.factored_row_sums(u1, u2)
-        if np.any(d_tilde <= 0):
-            raise NonPositiveNormalizer(
-                "approximated row normalizer has a non-positive entry"
-            )
-        z = (xi @ (u1 / d_tilde[:, None])) @ u2.T
+    by_rows = cfg.normalization is Normalization.MEMORY
+    norm = _factored_normalizer(u1, u2, cfg.normalization)
+    if np.any(norm <= 0):
+        raise NonPositiveNormalizer(
+            f"approximated {'row' if by_rows else 'column'} normalizer "
+            "has a non-positive entry"
+        )
+    if by_rows:
+        z = (xi @ (u1 / norm[:, None])) @ u2.T
     else:
-        n_tilde = fm.factored_col_sums(u1, u2)
-        if np.any(n_tilde <= 0):
-            raise NonPositiveNormalizer(
-                "approximated column normalizer has a non-positive entry"
-            )
-        z = ((xi @ u1) @ u2.T) / n_tilde[None, :]
+        z = ((xi @ u1) @ u2.T) / norm[None, :]
     return RetrievalResult(
         Z=z,
         rank_used=fmap.rank,
         degree_used=poly.degree,
         wall_time=time.perf_counter() - start,
-        error_bound=2.0 * memory.count * b * cfg.delta_a,
+        error_bound=lowrank_error_bound(memory.count, b, cfg.delta_a),
     )
+
+
+def lowrank_error_bound(m_count: int, b: float, delta_a: float) -> float:
+    """The low-rank guarantee 2 M B delta_a on the max-norm retrieval error,
+    for M stored patterns with entries bounded by B."""
+    return 2.0 * m_count * b * delta_a
 
 
 def max_norm_error(zt: np.ndarray, z: np.ndarray) -> float:
@@ -365,9 +389,8 @@ def retrieval_error_bound(
     m_count = memory.count
     xi_mu = memory.data[:, mu]
     gap = float(xi_mu @ x) - float(np.max(memory.data.T @ xi_mu))
-    return 2.0 * b * (m_count - 1) * float(np.exp(-beta * gap)) + (
-        2.0 * m_count * b * delta_a
-    )
+    crosstalk = 2.0 * b * (m_count - 1) * float(np.exp(-beta * gap))
+    return crosstalk + lowrank_error_bound(m_count, b, delta_a)
 
 
 @dataclass
@@ -395,14 +418,7 @@ def fixed_point_iterate(
     if x.shape[0] != memory.d:
         raise DimensionMismatch(f"query length {x.shape[0]} != d {memory.d}")
     retrieve = retrieve_lowrank if cfg.solver == "lowrank" else retrieve_dense
-    query_cfg = RetrievalConfig(
-        beta=cfg.beta,
-        delta_a=cfg.delta_a,
-        normalization=Normalization.QUERY,
-        max_degree=cfg.max_degree,
-        rank_cap=cfg.rank_cap,
-        solver=cfg.solver,
-    )
+    query_cfg = replace(cfg, normalization=Normalization.QUERY)
     traj = Trajectory(points=[x.copy()], energies=[energy(memory, x, cfg.beta)])
     for step in range(1, steps + 1):
         batch = PatternMatrix(x[:, None], role="query")

@@ -31,6 +31,7 @@ from .hopfield import (
     PatternMatrix,
     RetrievalConfig,
     lowrank_factors,
+    retrieve_lowrank,
 )
 
 # e^(B^2) must stay below ~1e300 so row sums remain finite
@@ -310,10 +311,7 @@ def _lowrank_statistic(
 ) -> np.ndarray:
     n = params.n
     if convention is AConvention.LITERAL:
-        u1, u2, _, _, _ = lowrank_factors(memory, queries, cfg)
-        d_tilde = fm.factored_row_sums(u1, u2)
-        z = (memory.data @ (u1 / d_tilde[:, None])) @ u2.T
-        return z[-1, :] / params.B
+        return retrieve_lowrank(memory, queries, cfg).Z[-1, :] / params.B
     # as-written: only the top-left block comes from the factorization; the
     # right half is the constant e^{B^2} and the bottom-left block is zero
     block = math.exp(params.B**2)
@@ -431,6 +429,21 @@ def generate_clustered_case2_instance(
     return AnnsInstance(a, b, t=t, delta=delta)
 
 
+def planted_instance(
+    kind: str, n: int, d: int, t: float, delta: float, rng_seed: int = 0
+) -> AnnsInstance:
+    """A promised instance of ``kind``: ``"case1"`` plants one pair at squared
+    distance 2 (a duplicate row when t <= 2), ``"case2"`` draws the clustered
+    instance whose every query is far."""
+    if kind == "case1":
+        return generate_balanced_instance(
+            n, d, t, delta, planted=2 if t > 2 else 0, rng_seed=rng_seed
+        )
+    if kind == "case2":
+        return generate_clustered_case2_instance(n, d, t, delta, rng_seed=rng_seed)
+    raise ValueError(f"unknown planted kind {kind!r}")
+
+
 def verify_reduction(
     n: int,
     d: int,
@@ -456,17 +469,10 @@ def verify_reduction(
         "disagreements": [],
         "per_trial": [],
     }
-    plant_k = 2 if t > 2 else 0
     for trial in range(trials):
-        seed = rng_seed + trial
-        if trial % 2 == 0:
-            inst = generate_balanced_instance(
-                n, d, t, delta, planted=plant_k, rng_seed=seed
-            )
-            kind = "case1-planted"
-        else:
-            inst = generate_clustered_case2_instance(n, d, t, delta, rng_seed=seed)
-            kind = "case2-planted"
+        plant = "case1" if trial % 2 == 0 else "case2"
+        inst = planted_instance(plant, n, d, t, delta, rng_seed=rng_seed + trial)
+        kind = f"{plant}-planted"
         oracle = classify_queries(inst)
         decision = solve_gap_anns_via_ahop(inst, solver=solver, convention=convention)
         promised = agreed = 0

@@ -74,6 +74,32 @@ def test_retrieve_missing_file_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_retrieve_non_finite_memory_exits_1(tmp_path, capsys, bad):
+    _, q_path = write_patterns(tmp_path)
+    m_path = tmp_path / "bad.csv"
+    m_path.write_text(f"dim=4\n0.1,{bad},0.2,0.3\n0.5,0.1,0.2,0.3\n")
+    for mode in ("dense", "lowrank"):
+        out = tmp_path / f"z-{mode}.csv"
+        code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
+                     "--mode", mode, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "NonFiniteInput" in capsys.readouterr().err
+
+
+def test_retrieve_empty_memory_exits_1(tmp_path, capsys):
+    m_path = tmp_path / "empty.csv"
+    m_path.write_text("dim=2\n")
+    q_path = tmp_path / "q.csv"
+    q_path.write_text("dim=2\n0.1,0.2\n")
+    for mode in ("dense", "lowrank"):
+        code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
+                     "--mode", mode, "--out", str(tmp_path / "z.csv")])
+        assert code == 1
+        assert "EmptyVector" in capsys.readouterr().err
+
+
 def test_config_file_supplies_flags(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"bound": 1.0, "delta-a": 1e-2}))
@@ -89,10 +115,12 @@ def test_config_file_supplies_flags(tmp_path, capsys):
 
 def test_config_unknown_key_exits_1(tmp_path, capsys):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"nonsense": 1}))
-    assert main(["approx-exp", "--config", str(conf), "--bound", "1",
-                 "--out", str(tmp_path / "p.json")]) == 1
-    capsys.readouterr()
+    # "threads" was a flag once; a config that still sets it is unknown too
+    for key in ("nonsense", "threads"):
+        conf.write_text(json.dumps({key: 1}))
+        assert main(["approx-exp", "--config", str(conf), "--bound", "1",
+                     "--out", str(tmp_path / "p.json")]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_bench_error_csv(tmp_path, capsys):

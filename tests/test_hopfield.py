@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from linhop.errors import DimensionMismatch, EmptyVector, SingleMemory
+from linhop import hopfield
+from linhop.errors import DimensionMismatch, EmptyVector, NonFiniteInput, SingleMemory
 from linhop.hopfield import (
     Normalization,
     PatternMatrix,
@@ -341,3 +342,49 @@ def test_retrieve_dimension_mismatch():
     q = PatternMatrix(np.ones((4, 2)), role="query")
     with pytest.raises(DimensionMismatch):
         retrieve_dense(mem, q, RetrievalConfig(beta=1.0))
+
+
+def test_dense_memory_normalization_across_chunks(monkeypatch):
+    # two query columns per chunk; scores up to 500 overflow exp unless each
+    # row is shifted by its maximum, which rises from chunk to chunk
+    monkeypatch.setattr(hopfield, "DENSE_CHUNK_ELEMENTS", 8)
+    mem = PatternMatrix(np.array([[1.0, 2.0, -1.0, 0.5], [1.0, 0.5, -2.0, 1.5]]))
+    q = PatternMatrix(np.outer([1.0, 1.0], np.linspace(10.0, 200.0, 12)), role="query")
+    cfg = RetrievalConfig(beta=1.0, normalization=Normalization.MEMORY)
+    out = retrieve_dense(mem, q, cfg).Z
+    s = mem.data.T @ q.data
+    a = np.exp(s - s.max(axis=1, keepdims=True))
+    ref = mem.data @ (a / a.sum(axis=1, keepdims=True))
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_retrieve_empty_memory():
+    mem = PatternMatrix(np.ones((2, 0)), allow_empty=True)
+    q = PatternMatrix(np.ones((2, 3)), role="query")
+    for retrieve in (retrieve_dense, retrieve_lowrank):
+        with pytest.raises(EmptyVector):
+            retrieve(mem, q, RetrievalConfig(beta=1.0))
+
+
+def test_lowrank_rejects_non_finite_queries():
+    rng = np.random.default_rng(19)
+    mem = random_patterns(rng, 3, 4)
+    q = PatternMatrix(np.array([[0.1], [np.nan], [0.2]]), role="query")
+    with pytest.raises(NonFiniteInput):
+        retrieve_lowrank(mem, q, RetrievalConfig(beta=0.5))
+
+
+def test_config_rejects_unknown_solver():
+    with pytest.raises(ValueError):
+        RetrievalConfig(beta=1.0, solver="low-rank")
+
+
+def test_pattern_files_reject_non_finite(tmp_path):
+    mem = PatternMatrix(np.array([[1.0, np.inf], [0.0, 2.0]]))
+    mem.to_csv(tmp_path / "m.csv")
+    mem.to_binary(tmp_path / "m.bin")
+    with pytest.raises(NonFiniteInput):
+        PatternMatrix.from_csv(tmp_path / "m.csv")
+    with pytest.raises(NonFiniteInput):
+        PatternMatrix.from_binary(tmp_path / "m.bin")

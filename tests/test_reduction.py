@@ -20,6 +20,7 @@ from linhop.reduction import (
     compute_params,
     generate_balanced_instance,
     generate_clustered_case2_instance,
+    planted_instance,
     scenario1_brute_force,
     score_matrix,
     solve_gap_anns_via_ahop,
@@ -183,8 +184,17 @@ def test_lowrank_solver_degree_exhausted():
     # the valid reduction constants force an exp fit interval of B^2, far
     # beyond what the degree cap can certify at the required relative error
     inst = generate_balanced_instance(8, 8, t=3.0, delta=0.09, rng_seed=8)
-    with pytest.raises(DegreeExhausted):
-        solve_gap_anns_via_ahop(inst, solver="lowrank")
+    for convention in AConvention:
+        with pytest.raises(DegreeExhausted):
+            solve_gap_anns_via_ahop(inst, solver="lowrank", convention=convention)
+
+
+def test_planted_instance_kinds():
+    case1 = planted_instance("case1", 6, 8, 3.0, 0.09, rng_seed=3)
+    assert case1.distance_sq().min() == 2
+    assert set(classify_queries(planted_instance("case2", 6, 8, 3.0, 0.09))) == {"case2"}
+    with pytest.raises(ValueError):
+        planted_instance("case3", 6, 8, 3.0, 0.09)
 
 
 def test_generate_balanced_rows():
