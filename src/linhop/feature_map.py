@@ -11,6 +11,13 @@ multinomial expansion of ``P(<u, v>)``, giving the exact factorization
 with rank C(d+g, g).  Indices are kept in graded-lexicographic order and each
 monomial column is built from its parent by a single multiplication, so factor
 matrices cost O(rows * rank) multiplications.
+
+The map is built level by level: each alpha of degree t spawns the children
+alpha + e_v for every slot v at or after its last nonzero slot, so every alpha
+of degree t+1 has exactly one parent (drop one unit from its last nonzero
+slot).  A lexsort puts each level in ascending lexicographic order, and the
+multinomials follow m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1) in exact
+integers before one conversion to float.
 """
 
 from __future__ import annotations
@@ -24,29 +31,6 @@ from .errors import DimensionMismatch, SizeOverflow
 from .poly_approx import ExpPolynomial
 
 DEFAULT_RANK_CAP = 10**6
-
-
-def _compositions(total: int, parts: int):
-    """All ways to write ``total`` as ordered sums of ``parts`` non-negative
-    integers, ascending lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _enumerate_exponents(d: int, g: int, cap: int) -> np.ndarray:
-    count = math.comb(d + g, g)
-    if count > cap:
-        raise SizeOverflow(
-            f"rank C({d}+{g}, {g}) = {count} exceeds cap {cap}"
-        )
-    rows = []
-    for total in range(g + 1):
-        rows.extend(_compositions(total, d))
-    return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +47,8 @@ class MonomialFeatureMap:
     # _vars[k-1] of the input row
     _parents: np.ndarray = field(repr=False)
     _vars: np.ndarray = field(repr=False)
+    # first column of each degree, then rank: degree t is _bounds[t]:_bounds[t+1]
+    _bounds: tuple = field(repr=False)
 
     def monomials(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate all monomials at each row of ``rows`` (shape n x d)."""
@@ -73,27 +59,13 @@ class MonomialFeatureMap:
             )
         out = np.empty((rows.shape[0], self.rank))
         out[:, 0] = 1.0
-        if self.rank > 1:
-            # extend level by level; fancy indexing keeps the per-column
-            # single-multiplication recurrence fully vectorized
-            out[:, 1:] = 1.0
-            start = 1
-            for total in range(1, self.g + 1):
-                stop = start + math.comb(total + self.d - 1, self.d - 1)
-                sel = slice(start, stop)
-                parents = self._parents[start - 1 : stop - 1]
-                variables = self._vars[start - 1 : stop - 1]
-                out[:, sel] = out[:, parents] * rows[:, variables]
-                start = stop
+        # a level's parents all lie in the level before it, so fancy indexing
+        # keeps the per-column single-multiplication recurrence vectorized
+        for start, stop in zip(self._bounds[1:], self._bounds[2:]):
+            parents = self._parents[start - 1 : stop - 1]
+            variables = self._vars[start - 1 : stop - 1]
+            out[:, start:stop] = out[:, parents] * rows[:, variables]
         return out
-
-
-def _multinomial(exp_row) -> float:
-    total = int(sum(exp_row))
-    val = math.factorial(total)
-    for e in exp_row:
-        val //= math.factorial(int(e))
-    return float(val)
 
 
 def build_feature_map(
@@ -107,31 +79,42 @@ def build_feature_map(
     if d < 1:
         raise ValueError("d must be >= 1")
     g = p.degree
-    exps = _enumerate_exponents(d, g, cap)
-    rank = exps.shape[0]
-    coeffs = np.asarray(p.coeffs)
-    totals = exps.sum(axis=1)
-    weights = coeffs[totals] * np.array([_multinomial(row) for row in exps])
-
-    # build plan: parent of alpha drops one unit from its last nonzero slot
-    index_of = {tuple(row): k for k, row in enumerate(map(tuple, exps))}
-    parents = np.empty(rank - 1 if rank > 1 else 0, dtype=np.int64)
-    variables = np.empty_like(parents)
-    for k in range(1, rank):
-        row = exps[k]
-        var = int(np.max(np.nonzero(row)[0]))
-        parent = list(row)
-        parent[var] -= 1
-        parents[k - 1] = index_of[tuple(parent)]
-        variables[k - 1] = var
+    rank = math.comb(d + g, g)
+    if rank > cap:
+        raise SizeOverflow(f"rank C({d}+{g}, {g}) = {rank} exceeds cap {cap}")
+    level = np.zeros((1, d), dtype=np.int64)
+    multinomials = np.ones(1, dtype=object)  # Python ints: exact at any degree
+    exps, weights = [level], [p.coeffs[0] * multinomials.astype(float)]
+    no_parent = np.empty(0, dtype=np.int64)  # degree 0 is the root
+    parents, variables = [no_parent], [no_parent]
+    bounds = [0, 1]
+    for t in range(g):
+        last = np.max((level > 0) * np.arange(d), axis=1)
+        counts = d - last
+        src = np.repeat(np.arange(len(level)), counts)
+        # v runs from last to d-1 within each parent's run of children
+        var = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts - last, counts)
+        child = level[src]
+        child[np.arange(len(src)), var] += 1
+        order = np.lexsort(child.T[::-1])
+        level, src, var = child[order], src[order], var[order]
+        # m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1), exact in integers
+        raised = level[np.arange(len(level)), var].astype(object)
+        multinomials = multinomials[src] * (t + 1) // raised
+        exps.append(level)
+        weights.append(p.coeffs[t + 1] * multinomials.astype(float))
+        parents.append(bounds[t] + src)
+        variables.append(var)
+        bounds.append(bounds[-1] + len(level))
     return MonomialFeatureMap(
         d=d,
         g=g,
-        exponents=exps,
-        weights=weights,
+        exponents=np.concatenate(exps),
+        weights=np.concatenate(weights),
         rank=rank,
-        _parents=parents,
-        _vars=variables,
+        _parents=np.concatenate(parents),
+        _vars=np.concatenate(variables),
+        _bounds=tuple(bounds),
     )
 
 

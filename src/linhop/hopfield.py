@@ -29,6 +29,7 @@ from . import poly_approx as pa
 from .errors import (
     DimensionMismatch,
     EmptyVector,
+    InvalidBound,
     NonFiniteInput,
     NonPositiveNormalizer,
     SingleMemory,
@@ -46,7 +47,8 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
-    """d x N matrix whose columns are patterns, with a cached max-norm bound."""
+    """d x N matrix whose columns are patterns.  ``max_norm`` and
+    ``pattern_norm_radius`` are computed from the data on each access."""
 
     data: np.ndarray
     role: str = "memory"
@@ -98,11 +100,15 @@ class PatternMatrix:
             if not header.startswith("dim="):
                 raise ValueError(f"missing dim= header in {path}")
             d = int(header[4:])
-            rows = [
-                [float(v) for v in line.split(",")]
-                for line in fh
-                if line.strip()
-            ]
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                rows.append([float(v) for v in line.split(",")])
+                if len(rows[-1]) != d:
+                    raise DimensionMismatch(
+                        f"{path}:{lineno}: row has {len(rows[-1])} values, header says dim={d}"
+                    )
         data = np.array(rows, dtype=float).reshape(len(rows), d).T
         return cls(_require_finite(data, path), role=role, allow_empty=True)
 
@@ -251,7 +257,12 @@ def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_
     a coarse geometric grid (within 25%) so repeated retrievals with slightly
     different measured norms reuse one fit; widening the interval only
     strengthens the certificate."""
-    snapped = 1e-6 * 1.25 ** math.ceil(math.log(max(interval, 1e-6) / 1e-6) / math.log(1.25))
+    try:
+        snapped = 1e-6 * 1.25 ** math.ceil(math.log(max(interval, 1e-6) / 1e-6) / math.log(1.25))
+    except OverflowError:
+        raise InvalidBound(
+            f"score interval [-{interval:g}, {interval:g}] overflows floating point"
+        ) from None
     key = (snapped, delta_a, max_degree, d, rank_cap)
     if key not in _FIT_CACHE:
         poly = pa.fit_exp_poly(snapped, delta_a, max_degree)

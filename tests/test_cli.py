@@ -100,6 +100,32 @@ def test_retrieve_empty_memory_exits_1(tmp_path, capsys):
         assert "EmptyVector" in capsys.readouterr().err
 
 
+def test_retrieve_lowrank_huge_entry_exits_1(tmp_path, capsys):
+    m_path = tmp_path / "huge.csv"
+    m_path.write_text("dim=2\n1e200,1\n")
+    q_path = tmp_path / "q.csv"
+    q_path.write_text("dim=2\n0.1,0.2\n")
+    out = tmp_path / "z.csv"
+    code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
+                 "--mode", "lowrank", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidBound: score interval [-inf, inf]")
+    assert "Traceback" not in err
+
+
+def test_retrieve_row_width_mismatch_exits_1(tmp_path, capsys):
+    _, q_path = write_patterns(tmp_path)
+    m_path = tmp_path / "ragged.csv"
+    m_path.write_text("dim=4\n0.1,0.2,0.3,0.4\n\n0.5,0.6\n")
+    code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
+                 "--out", str(tmp_path / "z.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"DimensionMismatch: {m_path}:4: row has 2 values, header says dim=4" in err
+
+
 def test_config_file_supplies_flags(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"bound": 1.0, "delta-a": 1e-2}))

@@ -1,5 +1,6 @@
 """Tests for the monomial feature map and its exact factorization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -63,6 +64,41 @@ def test_enumerate_graded_lex_strictly_increasing():
 def test_enumerate_size_overflow():
     with pytest.raises(SizeOverflow):
         exponents(50, 10, cap=1000)
+
+
+def reference_feature_map(coeffs, d):
+    """Exponents, weights, parents and variables of the feature map of the
+    polynomial with these coefficients, enumerated by brute force."""
+    g = len(coeffs) - 1
+    exps = sorted(
+        (a for a in itertools.product(range(g + 1), repeat=d) if sum(a) <= g),
+        key=lambda a: (sum(a), a),
+    )
+    index = {a: k for k, a in enumerate(exps)}
+    weights, parents, variables = [], [], []
+    for a in exps:
+        multinomial = math.factorial(sum(a))
+        for e in a:
+            multinomial //= math.factorial(e)
+        weights.append(coeffs[sum(a)] * float(multinomial))
+        if any(a):
+            v = max(i for i, e in enumerate(a) if e)
+            parents.append(index[a[:v] + (a[v] - 1,) + a[v + 1 :]])
+            variables.append(v)
+    return exps, weights, parents, variables
+
+
+def test_build_matches_reference():
+    # power-of-two coefficients keep weights exact, so a multinomial that is
+    # off by one ulp (a float recurrence does this at d=4, g>=31) shows
+    for d, g in [(1, 0), (1, 6), (2, 5), (3, 4), (5, 3), (7, 2), (4, 31), (4, 32)]:
+        coeffs = [2.0**-t for t in range(g + 1)]
+        fmap = build_feature_map(poly_from_coeffs(coeffs), d)
+        exps, weights, parents, variables = reference_feature_map(coeffs, d)
+        assert np.array_equal(fmap.exponents, np.array(exps).reshape(-1, d))
+        assert np.array_equal(fmap.weights, weights)
+        assert np.array_equal(fmap._parents, parents)
+        assert np.array_equal(fmap._vars, variables)
 
 
 def test_identity_polynomial_map():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from linhop import hopfield
-from linhop.errors import DimensionMismatch, EmptyVector, NonFiniteInput, SingleMemory
+from linhop.errors import (
+    DimensionMismatch,
+    EmptyVector,
+    InvalidBound,
+    NonFiniteInput,
+    SingleMemory,
+)
 from linhop.hopfield import (
     Normalization,
     PatternMatrix,
@@ -373,6 +379,16 @@ def test_lowrank_rejects_non_finite_queries():
     q = PatternMatrix(np.array([[0.1], [np.nan], [0.2]]), role="query")
     with pytest.raises(NonFiniteInput):
         retrieve_lowrank(mem, q, RetrievalConfig(beta=0.5))
+
+
+def test_lowrank_rejects_overflowing_interval():
+    # beta d B^2 is inf at B = 1e200; at B = 1e153 it is finite but too wide
+    # to snap to the fit grid
+    q = PatternMatrix(np.array([[0.1], [0.2]]), role="query")
+    for b in (1e200, 1e153):
+        mem = PatternMatrix(np.array([[b], [1.0]]))
+        with pytest.raises(InvalidBound, match=r"score interval \[-"):
+            retrieve_lowrank(mem, q, RetrievalConfig(beta=1.0))
 
 
 def test_config_rejects_unknown_solver():
