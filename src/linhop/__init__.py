@@ -15,6 +15,7 @@ from .errors import (
     InfeasibleStorage,
     InvalidBound,
     InvalidParams,
+    MalformedPatternFile,
     NonFiniteInput,
     NonPositiveNormalizer,
     OutOfDomain,

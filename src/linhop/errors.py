@@ -25,6 +25,11 @@ class EmptyVector(LinhopError):
     """An operation received an empty vector where at least one entry is required."""
 
 
+class MalformedPatternFile(LinhopError):
+    """A pattern file does not follow its format: a bad header, a value that is
+    not a number, or fewer entries than the header declares."""
+
+
 class NonFiniteInput(LinhopError):
     """Pattern data holds a NaN or an infinite entry."""
 

@@ -9,8 +9,11 @@ multinomial expansion of ``P(<u, v>)``, giving the exact factorization
     phi_v(v)[alpha] = v^alpha,
 
 with rank C(d+g, g).  Indices are kept in graded-lexicographic order and each
-monomial column is built from its parent by a single multiplication, so factor
-matrices cost O(rows * rank) multiplications.
+monomial is built from its parent by a single multiplication, so factor
+matrices cost O(rows * rank) multiplications.  The work is rank-major: a
+C-ordered rank x n buffer holds one monomial per row, so each level gathers
+whole contiguous parent rows.  The n x rank arrays handed back are transposed
+views of that buffer (Fortran order); callers must not assume C-contiguity.
 
 The map is built level by level: each alpha of degree t spawns the children
 alpha + e_v for every slot v at or after its last nonzero slot, so every alpha
@@ -51,21 +54,26 @@ class MonomialFeatureMap:
     _bounds: tuple = field(repr=False)
 
     def monomials(self, rows: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials at each row of ``rows`` (shape n x d)."""
+        """Evaluate all monomials at each row of ``rows`` (shape n x d).
+
+        Returns an n x rank transposed view of a rank x n buffer (Fortran
+        order).  The buffer is filled from ``rows.T``, which is copied only if
+        it is not already C-contiguous."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise DimensionMismatch(
                 f"expected shape (*, {self.d}), got {rows.shape}"
             )
-        out = np.empty((rows.shape[0], self.rank))
-        out[:, 0] = 1.0
-        # a level's parents all lie in the level before it, so fancy indexing
-        # keeps the per-column single-multiplication recurrence vectorized
+        cols = np.ascontiguousarray(rows.T)
+        out = np.empty((self.rank, rows.shape[0]))
+        out[0] = 1.0
+        # a level's parents all lie in the level before it, so one gather of
+        # whole parent rows keeps the single-multiplication recurrence vectorized
         for start, stop in zip(self._bounds[1:], self._bounds[2:]):
             parents = self._parents[start - 1 : stop - 1]
             variables = self._vars[start - 1 : stop - 1]
-            out[:, start:stop] = out[:, parents] * rows[:, variables]
-        return out
+            np.multiply(out[parents], cols[variables], out=out[start:stop])
+        return out.T
 
 
 def build_feature_map(
@@ -122,7 +130,10 @@ def build_factor_matrices(
     fmap: MonomialFeatureMap, x_rows: np.ndarray, y_rows: np.ndarray
 ):
     """U1 (rows phi_u of x_rows) and U2 (rows phi_v of y_rows) with
-    U1 @ U2.T == P(x_rows @ y_rows.T) entrywise."""
+    U1 @ U2.T == P(x_rows @ y_rows.T) entrywise.
+
+    Both are n x rank transposed views of rank-major buffers (Fortran order);
+    the weights are applied to U1 in place."""
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
     if x_rows.size == 0:
@@ -133,7 +144,8 @@ def build_factor_matrices(
         raise DimensionMismatch(
             f"row width must be {fmap.d}, got {x_rows.shape[1]} and {y_rows.shape[1]}"
         )
-    u1 = fmap.monomials(x_rows) * fmap.weights[None, :]
+    u1 = fmap.monomials(x_rows)
+    u1 *= fmap.weights
     u2 = fmap.monomials(y_rows)
     return u1, u2
 

@@ -27,12 +27,15 @@ import numpy as np
 from . import feature_map as fm
 from . import poly_approx as pa
 from .errors import (
+    DegreeExhausted,
     DimensionMismatch,
     EmptyVector,
     InvalidBound,
+    MalformedPatternFile,
     NonFiniteInput,
     NonPositiveNormalizer,
     SingleMemory,
+    SizeOverflow,
 )
 
 # element budget for one chunk of the M x L score matrix; a fixed working-set
@@ -98,17 +101,22 @@ class PatternMatrix:
         with open(path) as fh:
             header = fh.readline().strip()
             if not header.startswith("dim="):
-                raise ValueError(f"missing dim= header in {path}")
-            d = int(header[4:])
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-                if len(rows[-1]) != d:
-                    raise DimensionMismatch(
-                        f"{path}:{lineno}: row has {len(rows[-1])} values, header says dim={d}"
-                    )
+                raise MalformedPatternFile(f"{path}:1: missing dim= header")
+            rows, lineno = [], 1
+            try:
+                d = int(header[4:])
+                if d < 1:
+                    raise MalformedPatternFile(f"{path}:1: dim={d} is not positive")
+                for lineno, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    rows.append([float(v) for v in line.strip().split(",")])
+                    if len(rows[-1]) != d:
+                        raise DimensionMismatch(
+                            f"{path}:{lineno}: row has {len(rows[-1])} values, header says dim={d}"
+                        )
+            except ValueError as exc:
+                raise MalformedPatternFile(f"{path}:{lineno}: {exc}") from None
         data = np.array(rows, dtype=float).reshape(len(rows), d).T
         return cls(_require_finite(data, path), role=role, allow_empty=True)
 
@@ -120,10 +128,17 @@ class PatternMatrix:
     @classmethod
     def from_binary(cls, path, role: str = "memory") -> "PatternMatrix":
         with open(path, "rb") as fh:
-            magic, d, n = struct.unpack("<4sII4x", fh.read(16))
-            if magic != b"AHOP":
-                raise ValueError(f"bad magic in {path}")
-            data = np.frombuffer(fh.read(8 * d * n), dtype="<f8").reshape(n, d).T
+            header = fh.read(16)
+            if len(header) < 16 or header[:4] != b"AHOP":
+                raise MalformedPatternFile(f"{path}: no AHOP header (bad magic or short file)")
+            _, d, n = struct.unpack("<4sII4x", header)
+            payload = fh.read(8 * d * n)
+        if len(payload) < 8 * d * n:
+            raise MalformedPatternFile(
+                f"{path}: header says {d}x{n} = {d * n} entries, "
+                f"file holds {len(payload) // 8}"
+            )
+        data = np.frombuffer(payload, dtype="<f8").reshape(n, d).T
         return cls(_require_finite(data, path).copy(), role=role, allow_empty=True)
 
 
@@ -256,7 +271,8 @@ def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_
     """Memoized (polynomial, feature map) pair.  The interval is snapped up to
     a coarse geometric grid (within 25%) so repeated retrievals with slightly
     different measured norms reuse one fit; widening the interval only
-    strengthens the certificate."""
+    strengthens the certificate.  A fit that fails is memoized too: the same
+    key raises the same error type and message without fitting again."""
     try:
         snapped = 1e-6 * 1.25 ** math.ceil(math.log(max(interval, 1e-6) / 1e-6) / math.log(1.25))
     except OverflowError:
@@ -264,13 +280,19 @@ def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_
             f"score interval [-{interval:g}, {interval:g}] overflows floating point"
         ) from None
     key = (snapped, delta_a, max_degree, d, rank_cap)
-    if key not in _FIT_CACHE:
-        poly = pa.fit_exp_poly(snapped, delta_a, max_degree)
-        fmap = fm.build_feature_map(poly, d, rank_cap)
+    entry = _FIT_CACHE.get(key)
+    if entry is None:
+        try:
+            poly = pa.fit_exp_poly(snapped, delta_a, max_degree)
+            entry = (poly, fm.build_feature_map(poly, d, rank_cap))
+        except (DegreeExhausted, SizeOverflow) as exc:
+            entry = exc.with_traceback(None)  # keep no frames alive in the cache
         if len(_FIT_CACHE) > 64:
             _FIT_CACHE.clear()
-        _FIT_CACHE[key] = (poly, fmap)
-    return _FIT_CACHE[key]
+        _FIT_CACHE[key] = entry
+    if isinstance(entry, Exception):
+        raise type(entry)(*entry.args)
+    return entry
 
 
 def lowrank_factors(
@@ -339,7 +361,7 @@ def retrieve_lowrank(
             "has a non-positive entry"
         )
     if by_rows:
-        z = (xi @ (u1 / norm[:, None])) @ u2.T
+        z = ((xi / norm) @ u1) @ u2.T
     else:
         z = ((xi @ u1) @ u2.T) / norm[None, :]
     return RetrievalResult(

@@ -322,7 +322,7 @@ def _lowrank_statistic(
     d[:n] = fm.factored_row_sums(u1, u2) + n * block
     d[n:] = n * block
     z = np.empty((memory.d, 2 * n))
-    z[:, :n] = (memory.data[:, :n] @ (u1 / d[:n, None])) @ u2.T
+    z[:, :n] = ((memory.data[:, :n] / d[:n]) @ u1) @ u2.T
     z[:, n:] = (memory.data @ (block / d))[:, None]
     return z[-1, :] / params.B
 

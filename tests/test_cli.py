@@ -126,6 +126,29 @@ def test_retrieve_row_width_mismatch_exits_1(tmp_path, capsys):
     assert f"DimensionMismatch: {m_path}:4: row has 2 values, header says dim=4" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim=2\n0.1,0.2\n0.1,abc\n", ":3: could not convert string to float: 'abc'"),
+        ("dim=two\n0.1,0.2\n", ":1: invalid literal for int() with base 10: 'two'"),
+        ("dim=-2\n", ":1: dim=-2 is not positive"),
+        ("0.1,0.2\n", ":1: missing dim= header"),
+    ],
+)
+def test_retrieve_malformed_csv_exits_1(tmp_path, capsys, text, message):
+    _, q_path = write_patterns(tmp_path)
+    m_path = tmp_path / "bad.csv"
+    m_path.write_text(text)
+    out = tmp_path / "z.csv"
+    code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"MalformedPatternFile: {m_path}{message}")
+    assert "Traceback" not in err
+
+
 def test_config_file_supplies_flags(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"bound": 1.0, "delta-a": 1e-2}))

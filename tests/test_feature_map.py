@@ -101,6 +101,21 @@ def test_build_matches_reference():
         assert np.array_equal(fmap._vars, variables)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_monomials_match_brute_force(order):
+    # entries are multiples of 1/2 up to 3/2, so every product up to degree
+    # 12 is exact and the two evaluation orders must agree bit for bit
+    rng = np.random.default_rng(8)
+    for d, g in [(1, 5), (2, 4), (3, 3), (4, 6), (8, 2), (5, 12)]:
+        fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
+        for n in (0, 1, 7):
+            rows = np.asarray(rng.integers(-3, 4, (n, d)) / 2.0, order=order)
+            out = fmap.monomials(rows)
+            brute = np.prod(rows[:, None, :] ** fmap.exponents[None], axis=2)
+            assert out.shape == (n, fmap.rank)
+            assert np.array_equal(out, brute)
+
+
 def test_identity_polynomial_map():
     fmap = build_feature_map(poly_from_coeffs([0.0, 1.0]), 2)
     rng = np.random.default_rng(0)

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from linhop import hopfield
+from linhop import hopfield, poly_approx
 from linhop.errors import (
+    DegreeExhausted,
     DimensionMismatch,
     EmptyVector,
     InvalidBound,
+    MalformedPatternFile,
     NonFiniteInput,
     SingleMemory,
+    SizeOverflow,
 )
+from linhop.feature_map import factored_row_sums
 from linhop.hopfield import (
     Normalization,
     PatternMatrix,
@@ -20,6 +24,7 @@ from linhop.hopfield import (
     dense_normalizers,
     energy,
     fixed_point_iterate,
+    lowrank_factors,
     lowrank_normalizers,
     lse,
     max_norm_error,
@@ -404,3 +409,62 @@ def test_pattern_files_reject_non_finite(tmp_path):
         PatternMatrix.from_csv(tmp_path / "m.csv")
     with pytest.raises(NonFiniteInput):
         PatternMatrix.from_binary(tmp_path / "m.bin")
+
+
+def test_pattern_binary_rejects_malformed(tmp_path):
+    path = tmp_path / "m.bin"
+    PatternMatrix(np.ones((3, 4))).to_binary(path)
+    raw = path.read_bytes()
+    cases = [
+        (b"XHOP" + raw[4:], r"no AHOP header"),
+        (raw[:10], r"no AHOP header"),
+        (raw[:-8], r"header says 3x4 = 12 entries, file holds 11"),
+    ]
+    for content, message in cases:
+        path.write_bytes(content)
+        with pytest.raises(MalformedPatternFile, match=message):
+            PatternMatrix.from_binary(path)
+
+
+def test_lowrank_memory_assembly_matches_factor_scaling():
+    # Z = ((Xi / D) U1) U2^T reassociates Z = (Xi (U1 / D)) U2^T
+    rng = np.random.default_rng(23)
+    mem = random_patterns(rng, 8, 40)
+    q = random_patterns(rng, 8, 30, role="query")
+    cfg = RetrievalConfig(beta=0.5, normalization=Normalization.MEMORY)
+    u1, u2, poly, _, _ = lowrank_factors(mem, q, cfg)
+    assert np.max(np.abs(u1 @ u2.T - poly(cfg.beta * mem.data.T @ q.data))) <= 1e-9
+    norm = factored_row_sums(u1, u2)
+    reference = (mem.data @ (u1 / norm[:, None])) @ u2.T
+    z = retrieve_lowrank(mem, q, cfg).Z
+    assert np.max(np.abs(z - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize(
+    "entry, cfg, error",
+    [
+        # interval beta d B^2 = 64 needs more than degree 8
+        (4.0, RetrievalConfig(beta=1.0, max_degree=8), DegreeExhausted),
+        # the fit on interval 4 succeeds, but its d = 4 rank exceeds 10
+        (1.0, RetrievalConfig(beta=1.0, rank_cap=10), SizeOverflow),
+    ],
+)
+def test_failed_fit_is_not_repeated(monkeypatch, entry, cfg, error):
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    calls = []
+    fit = poly_approx.fit_exp_poly
+
+    def counting_fit(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(poly_approx, "fit_exp_poly", counting_fit)
+    mem = PatternMatrix(np.full((4, 3), entry))
+    q = PatternMatrix(np.full((4, 2), entry), role="query")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            retrieve_lowrank(mem, q, cfg)
+        messages.append(str(info.value))
+    assert len(calls) == 1
+    assert messages[0] == messages[1]

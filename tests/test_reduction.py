@@ -1,6 +1,7 @@
 """Tests for the gap nearest-neighbor reduction and its brute-force oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from linhop.errors import (
     InfeasiblePlant,
     InvalidParams,
 )
+from linhop.hopfield import Normalization, PatternMatrix, RetrievalConfig
 from linhop.reduction import (
     AConvention,
     AnnsInstance,
@@ -25,6 +27,8 @@ from linhop.reduction import (
     score_matrix,
     solve_gap_anns_via_ahop,
     verify_reduction,
+    _dense_statistic,
+    _lowrank_statistic,
 )
 
 
@@ -187,6 +191,20 @@ def test_lowrank_solver_degree_exhausted():
     for convention in AConvention:
         with pytest.raises(DegreeExhausted):
             solve_gap_anns_via_ahop(inst, solver="lowrank", convention=convention)
+
+
+def test_lowrank_statistic_matches_dense_on_bounded_scores():
+    # bounded scores keep the fit feasible, so both conventions' factored
+    # statistics can be checked against the dense ones
+    rng = np.random.default_rng(9)
+    params = SimpleNamespace(n=40, B=1.0, beta=0.2)
+    memory = PatternMatrix(rng.uniform(-1, 1, (5, 80)))
+    queries = PatternMatrix(rng.uniform(-1, 1, (5, 80)), role="query")
+    cfg = RetrievalConfig(beta=params.beta, normalization=Normalization.MEMORY)
+    for convention in AConvention:
+        low = _lowrank_statistic(memory, queries, params, convention, cfg)
+        dense = _dense_statistic(memory, queries, params, convention)
+        assert np.max(np.abs(low - dense)) <= 2 * cfg.delta_a
 
 
 def test_planted_instance_kinds():
