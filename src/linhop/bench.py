@@ -125,8 +125,11 @@ def runtime_scaling(
         memory = _random_patterns(rng, d, tau, B, "memory")
         queries = _random_patterns(rng, d, tau, B, "query")
         first_low = retrieve_lowrank(memory, queries, cfg)
+        # a fresh memory per repeat, so the time includes the memory side
+        # that retrieve_lowrank would otherwise keep from the previous call
         time_low = _median_time(
-            lambda: retrieve_lowrank(memory, queries, cfg), repeats
+            lambda: retrieve_lowrank(PatternMatrix(memory.data), queries, cfg),
+            repeats,
         )
         flag = ""
         time_dense = float("nan")

@@ -72,7 +72,9 @@ class MonomialFeatureMap:
         for start, stop in zip(self._bounds[1:], self._bounds[2:]):
             parents = self._parents[start - 1 : stop - 1]
             variables = self._vars[start - 1 : stop - 1]
-            np.multiply(out[parents], cols[variables], out=out[start:stop])
+            level = out[start:stop]
+            np.take(out[:start], parents, axis=0, out=level, mode="clip")
+            level *= cols[variables]
         return out.T
 
 

@@ -10,7 +10,10 @@ Patterns are stored column-wise.  Two normalization conventions are supported:
 The low-rank path scales both inputs by sqrt(beta), fits an exp polynomial on
 the score interval, factors it through the monomial feature map, and assembles
 the output with the associativity order that never materializes the M x L
-score matrix.
+score matrix.  The memory side of that factorization is built once per memory
+matrix, in O(M r) monomial work for rank r, and kept on it: for QUERY the
+(d+1) x r state [Xi; 1^T] @ U1, after which a call costs O(L r d) whatever M
+is; for MEMORY the M x r factor U1 itself.
 """
 
 from __future__ import annotations
@@ -50,8 +53,13 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
-    """d x N matrix whose columns are patterns.  ``max_norm`` and
-    ``pattern_norm_radius`` are computed from the data on each access."""
+    """d x N matrix whose columns are patterns.
+
+    A memory-role matrix owns a read-only copy of its data, so its
+    ``max_norm`` is computed once and low-rank retrieval keeps its memory-side
+    state on it.  A query-role matrix is a view of the caller's array (no
+    copy), and its ``max_norm`` is computed on each access.
+    ``pattern_norm_radius`` is computed on each access for both roles."""
 
     data: np.ndarray
     role: str = "memory"
@@ -65,7 +73,14 @@ class PatternMatrix:
             raise DimensionMismatch("pattern dimension must be >= 1")
         if data.shape[1] < 1 and not self.allow_empty:
             raise DimensionMismatch("at least one pattern required")
+        if self.role == "memory":
+            data = _frozen_copy(data)
         object.__setattr__(self, "data", data)
+
+    def __reduce__(self):
+        # copies and unpickling rebuild through __post_init__, so a memory
+        # copy owns read-only data and carries no derived values
+        return type(self), (self.data, self.role, self.allow_empty)
 
     @property
     def d(self) -> int:
@@ -77,7 +92,12 @@ class PatternMatrix:
 
     @property
     def max_norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+        value = self.__dict__.get("_max_norm")
+        if value is None:
+            value = float(np.max(np.abs(self.data))) if self.data.size else 0.0
+            if self.role == "memory":
+                self.__dict__["_max_norm"] = value
+        return value
 
     @property
     def pattern_norm_radius(self) -> float:
@@ -140,6 +160,19 @@ class PatternMatrix:
             )
         data = np.frombuffer(payload, dtype="<f8").reshape(n, d).T
         return cls(_require_finite(data, path).copy(), role=role, allow_empty=True)
+
+
+def _frozen_copy(data: np.ndarray) -> np.ndarray:
+    """A read-only copy that no caller can write through, so values derived
+    from it can be kept in the owner's ``__dict__``.  It starts on a 64-byte
+    boundary: at the 16-, 32- and 48-byte offsets malloc may return, the
+    dense path's matmuls over a 4 x 4096 memory ran 4-8% slower (Xeon)."""
+    buf = np.empty(data.size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    copy = buf[start : start + data.size].reshape(data.shape)
+    copy[...] = data
+    copy.flags.writeable = False
+    return copy
 
 
 def _require_finite(data: np.ndarray, path) -> np.ndarray:
@@ -295,11 +328,9 @@ def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_
     return entry
 
 
-def lowrank_factors(
-    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
-):
-    """Fit the exp polynomial and build the factor pair (U1, U2) with
-    U1 @ U2.T approximating exp(beta Xi^T X) entrywise to delta_a."""
+def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
+    """The memoized (polynomial, feature map) for exp on the score interval
+    [-beta d B^2, beta d B^2], B the largest entry of either side, and B."""
     _check_dims(memory, queries)
     b_memory, b_queries = memory.max_norm, queries.max_norm
     if not (math.isfinite(b_memory) and math.isfinite(b_queries)):
@@ -309,6 +340,15 @@ def lowrank_factors(
     poly, fmap = _fitted_pair(
         interval, cfg.delta_a, cfg.max_degree, memory.d, cfg.rank_cap
     )
+    return poly, fmap, b
+
+
+def lowrank_factors(
+    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
+):
+    """Fit the exp polynomial and build the factor pair (U1, U2) with
+    U1 @ U2.T approximating exp(beta Xi^T X) entrywise to delta_a."""
+    poly, fmap, b = _fit(memory, queries, cfg)
     scale = np.sqrt(cfg.beta)
     u1, u2 = fm.build_factor_matrices(
         fmap, scale * memory.data.T, scale * queries.data.T
@@ -316,11 +356,28 @@ def lowrank_factors(
     return u1, u2, poly, fmap, b
 
 
-def _factored_normalizer(u1, u2, normalization: Normalization) -> np.ndarray:
-    """Row sums of U1 @ U2.T for MEMORY, column sums for QUERY."""
-    if normalization is Normalization.MEMORY:
-        return fm.factored_row_sums(u1, u2)
-    return fm.factored_col_sums(u1, u2)
+def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalization):
+    """The memory side of the factored retrieval: [Xi; 1^T] @ U1 ((d+1) x r)
+    for QUERY, U1 (M x r) for MEMORY.  It is kept on a memory-role matrix,
+    whose data cannot change, and rebuilt when the feature map (a new fit or
+    a cleared fit cache), sqrt(beta) or the normalization differs."""
+    kept = memory.__dict__.get("_lowrank_state")
+    if kept is not None and kept[0] is fmap and kept[1] == scale and kept[2] is normalization:
+        return kept[3]
+    u1, _ = fm.build_factor_matrices(
+        fmap, scale * memory.data.T, np.empty((0, memory.d))
+    )
+    if normalization is Normalization.QUERY:
+        # computed as (U1^T [Xi; 1^T]^T)^T: OpenBLAS ran the (d+1) x M @ M x r
+        # order 2-4x slower at M = 16384, with 50-150 ms stalls while another
+        # process held a core
+        state = (u1.T @ np.hstack([memory.data.T, np.ones((memory.count, 1))])).T
+    else:
+        state = u1
+    state.flags.writeable = False
+    if memory.role == "memory":
+        memory.__dict__["_lowrank_state"] = (fmap, scale, normalization, state)
+    return state
 
 
 def lowrank_normalizers(
@@ -329,7 +386,9 @@ def lowrank_normalizers(
     """Approximated normalizer vector (row sums for MEMORY, column sums for
     QUERY) from the factored form."""
     u1, u2, _, _, _ = lowrank_factors(memory, queries, cfg)
-    return _factored_normalizer(u1, u2, cfg.normalization)
+    if cfg.normalization is Normalization.MEMORY:
+        return fm.factored_row_sums(u1, u2)
+    return fm.factored_col_sums(u1, u2)
 
 
 def dense_normalizers(
@@ -347,23 +406,36 @@ def retrieve_lowrank(
 ) -> RetrievalResult:
     """Almost-linear retrieval via the polynomial low-rank factorization.
 
+    The memory side costs O(M r) monomials once per memory matrix (see
+    ``_memory_state``).  Each call then costs O(L r d) for QUERY, whatever M
+    is; MEMORY also pays O(M r d) per call, because its row sums need every
+    query.
+
     Guarantees max-norm error <= 2 M B delta_a against retrieve_dense with the
     matching normalization convention.
     """
     start = time.perf_counter()
-    u1, u2, poly, fmap, b = lowrank_factors(memory, queries, cfg)
-    xi = memory.data
+    poly, fmap, b = _fit(memory, queries, cfg)
+    scale = np.sqrt(cfg.beta)
+    state = _memory_state(memory, fmap, scale, cfg.normalization)
+    _, u2 = fm.build_factor_matrices(
+        fmap, np.empty((0, memory.d)), scale * queries.data.T
+    )
     by_rows = cfg.normalization is Normalization.MEMORY
-    norm = _factored_normalizer(u1, u2, cfg.normalization)
+    if by_rows:
+        norm = fm.factored_row_sums(state, u2)
+    else:
+        numer = state @ u2.T
+        norm = numer[-1]
     if np.any(norm <= 0):
         raise NonPositiveNormalizer(
             f"approximated {'row' if by_rows else 'column'} normalizer "
             "has a non-positive entry"
         )
     if by_rows:
-        z = ((xi / norm) @ u1) @ u2.T
+        z = ((memory.data / norm) @ state) @ u2.T
     else:
-        z = ((xi @ u1) @ u2.T) / norm[None, :]
+        z = numer[:-1] / norm
     return RetrievalResult(
         Z=z,
         rank_used=fmap.rank,

@@ -1,10 +1,14 @@
 """Tests for dense and low-rank retrieval, energies, and separation measures."""
 
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from linhop import feature_map as fm
 from linhop import hopfield, poly_approx
 from linhop.errors import (
     DegreeExhausted,
@@ -468,3 +472,106 @@ def test_failed_fit_is_not_repeated(monkeypatch, entry, cfg, error):
         messages.append(str(info.value))
     assert len(calls) == 1
     assert messages[0] == messages[1]
+
+
+def _count_memory_rows(monkeypatch):
+    """Record the memory-side row count of every factor build."""
+    rows = []
+    build = fm.build_factor_matrices
+
+    def counting(fmap, x_rows, y_rows):
+        rows.append(len(x_rows))
+        return build(fmap, x_rows, y_rows)
+
+    monkeypatch.setattr(fm, "build_factor_matrices", counting)
+    return rows
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+def test_lowrank_memory_side_is_built_once(monkeypatch, normalization):
+    # queries inside the memory's entry bound keep the fit interval fixed
+    rng = np.random.default_rng(31)
+    mem = random_patterns(rng, 4, 50)
+    cfg = RetrievalConfig(beta=0.5, normalization=normalization)
+    rows = _count_memory_rows(monkeypatch)
+    retrieve_lowrank(mem, random_patterns(rng, 4, 7, b=0.5, role="query"), cfg)
+    assert sum(rows) == mem.count
+    q = random_patterns(rng, 4, 9, b=0.5, role="query")
+    warm = retrieve_lowrank(mem, q, cfg).Z
+    assert sum(rows) == mem.count
+    fresh = retrieve_lowrank(PatternMatrix(mem.data), q, cfg).Z
+    assert max_norm_error(warm, fresh) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "change", ["beta", "normalization", "delta_a", "query_norm", "fit_cache_clear"]
+)
+def test_lowrank_memory_side_is_rebuilt_on_change(monkeypatch, change):
+    rng = np.random.default_rng(32)
+    mem = random_patterns(rng, 4, 50)
+    q = random_patterns(rng, 4, 6, b=0.5, role="query")
+    cfg = RetrievalConfig(beta=0.5)
+    first = retrieve_lowrank(mem, q, cfg)
+    if change == "beta":
+        # the same snapped fit interval, so only sqrt(beta) tells them apart
+        cfg = replace(cfg, beta=0.48)
+        assert hopfield._fit(mem, q, cfg)[1] is hopfield._fit(mem, q, replace(cfg, beta=0.5))[1]
+    elif change == "normalization":
+        cfg = replace(cfg, normalization=Normalization.MEMORY)
+    elif change == "delta_a":
+        cfg = replace(cfg, delta_a=1e-5)
+    elif change == "query_norm":
+        q = PatternMatrix(4.0 * q.data, role="query")
+    else:
+        monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    rows = _count_memory_rows(monkeypatch)
+    out = retrieve_lowrank(mem, q, cfg)
+    assert sum(rows) == mem.count
+    if change == "query_norm":
+        assert out.degree_used > first.degree_used
+    fresh = retrieve_lowrank(PatternMatrix(mem.data), q, cfg).Z
+    assert max_norm_error(out.Z, fresh) <= 1e-12
+
+
+def test_memory_owns_a_read_only_copy():
+    arr = np.ones((3, 4))
+    mem = PatternMatrix(arr)
+    arr[0, 0] = 5.0
+    assert mem.data[0, 0] == 1.0 and mem.max_norm == 1.0
+    with pytest.raises(ValueError):
+        mem.data[0, 0] = 2.0
+    query = PatternMatrix(arr, role="query")
+    assert np.shares_memory(query.data, arr)
+    for copied in (copy.copy(mem), copy.deepcopy(mem), pickle.loads(pickle.dumps(mem))):
+        assert not copied.data.flags.writeable and not np.shares_memory(copied.data, mem.data)
+        assert np.array_equal(copied.data, mem.data) and copied.role == "memory"
+
+
+def test_query_role_memory_is_not_cached():
+    # negating columns keeps every |entry|, so the fit is the same and only
+    # a kept memory-side state could hide the change
+    rng = np.random.default_rng(33)
+    arr = rng.uniform(-1, 1, (4, 30))
+    as_memory = PatternMatrix(arr, role="query")
+    q = random_patterns(rng, 4, 5, b=0.5, role="query")
+    cfg = RetrievalConfig(beta=0.5)
+    first = retrieve_lowrank(as_memory, q, cfg).Z
+    arr[:, :10] *= -1.0
+    second = retrieve_lowrank(as_memory, q, cfg).Z
+    expected = retrieve_lowrank(PatternMatrix(arr), q, cfg).Z
+    assert max_norm_error(second, expected) <= 1e-12
+    assert max_norm_error(first, second) > 1e-3
+
+
+def test_lowrank_trajectory_matches_fresh_memory_each_step():
+    rng = np.random.default_rng(34)
+    mem = random_patterns(rng, 4, 16)
+    x0 = 0.5 * mem.data[:, 3] + 0.05 * rng.standard_normal(4)
+    cfg = RetrievalConfig(beta=1.0, solver="lowrank")
+    traj = fixed_point_iterate(mem, x0, cfg, steps=6, eps=0.0)
+    x = x0
+    for point in traj.points[1:]:
+        batch = PatternMatrix(x[:, None], role="query")
+        x = retrieve_lowrank(PatternMatrix(mem.data), batch, cfg).Z[:, 0]
+        assert np.max(np.abs(point - x)) <= 1e-12
+    assert len(traj.points) == 7
