@@ -101,12 +101,11 @@ def runtime_scaling(
     delta_a: float,
     repeats: int = 3,
     seed: int = 0,
-    dense_cost_cap: float = DENSE_COST_CAP_SECONDS,
 ):
     """Median dense vs low-rank wall times at M = L = tau, plus log-log slopes.
 
     Dense runs are skipped (record flagged) once a single instance exceeds
-    ``dense_cost_cap`` seconds.  Measured low-rank error against the dense
+    ``DENSE_COST_CAP_SECONDS``.  Measured low-rank error against the dense
     output is checked on the smallest and largest tau to bound cost.
     """
     tau_list = [int(t) for t in tau_list]
@@ -141,7 +140,7 @@ def runtime_scaling(
             t0 = time.monotonic()
             z_dense = retrieve_dense(memory, queries, cfg)
             first = time.monotonic() - t0
-            if first > dense_cost_cap:
+            if first > DENSE_COST_CAP_SECONDS:
                 dense_skipped = True
                 time_dense = first
                 flag = "dense-cost-cap"

@@ -3,6 +3,7 @@ the empirical storage/retrieval experiment."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -157,21 +158,25 @@ def run_capacity_experiment(
     eps: float | None = None,
     rng_seed: int = 0,
     delta_a: float = 1e-3,
-    max_degree: int = 32,
-    rank_cap: int = 10**6,
 ) -> list:
     """Per M: sample M patterns on the radius-m sphere, perturb a stored
-    pattern by perturbation * R, run one retrieval step, and count successes.
+    pattern by perturbation * R per trial, run one retrieval step on all
+    trials at once, and count successes.
 
-    The low-rank path is attempted first; when its polynomial/rank budget is
-    infeasible for the given (d, beta, m) the dense map is used instead and
-    the row records solver="dense-fallback".  Per-trial RNG streams derive
-    from (seed, M, trial), so results are order-independent.
+    Under QUERY normalization each output column depends only on its own
+    query, so the batch gives each trial its own retrieval.  The low-rank
+    path is tried first; when its polynomial/rank budget is infeasible on the
+    batch's score interval (the widest of the trials') the dense map is used
+    instead and the row records solver="dense-fallback".  Per-trial RNG
+    streams derive from (seed, M, trial), so results are order-independent.
     """
     if not 0 < perturbation < 1:
         raise ValueError("perturbation must lie in (0, 1)")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if trials == 0:
         return []
+    cfg = RetrievalConfig(beta=beta, delta_a=delta_a, normalization=Normalization.QUERY)
     rows = []
     for m_count in M_list:
         rng = np.random.default_rng([rng_seed, m_count])
@@ -180,33 +185,27 @@ def run_capacity_experiment(
         )
         # lone pattern: any finite sphere works
         radius = pattern_radius(memory) if m_count >= 2 else m
-        cfg = RetrievalConfig(
-            beta=beta,
-            delta_a=delta_a,
-            normalization=Normalization.QUERY,
-            max_degree=max_degree,
-            rank_cap=rank_cap,
-        )
         margin = lowrank_error_bound(m_count, memory.max_norm, delta_a)
         eps_used = (radius / 2.0 + margin) if eps is None else eps
-        probe = PatternMatrix(memory.data[:, :1], role="query")
-        solver_name = "lowrank"
-        retrieve = retrieve_lowrank
-        try:
-            retrieve_lowrank(memory, probe, cfg)
-        except (DegreeExhausted, SizeOverflow):
-            solver_name = "dense-fallback"
-            retrieve = retrieve_dense
-        successes = 0
-        errors = []
+        targets = np.empty(trials, dtype=int)
+        queries = np.empty((d, trials))
         for trial in range(trials):
             trng = np.random.default_rng([rng_seed, m_count, trial])
             mu = int(trng.integers(m_count))
             noise = trng.standard_normal(d)
             noise /= np.linalg.norm(noise)
-            query = memory.data[:, mu] + perturbation * radius * noise
-            out = retrieve(memory, PatternMatrix(query[:, None], role="query"), cfg)
-            retrieved = out.Z[:, 0]
+            targets[trial] = mu
+            queries[:, trial] = memory.data[:, mu] + perturbation * radius * noise
+        batch = PatternMatrix(queries, role="query")
+        try:
+            z = retrieve_lowrank(memory, batch, cfg).Z
+            solver_name = "lowrank"
+        except (DegreeExhausted, SizeOverflow):
+            z = retrieve_dense(memory, batch, cfg).Z
+            solver_name = "dense-fallback"
+        successes = 0
+        errors = []
+        for retrieved, mu in zip(z.T, targets):
             err = float(np.linalg.norm(retrieved - memory.data[:, mu]))
             errors.append(err)
             nearest = int(
@@ -221,8 +220,8 @@ def run_capacity_experiment(
                 "beta": beta,
                 "M": m_count,
                 "trials": trials,
-                "success_rate": successes / trials if trials else float("nan"),
-                "mean_error": float(np.mean(errors)) if errors else float("nan"),
+                "success_rate": successes / trials,
+                "mean_error": float(np.mean(errors)),
                 "seed": rng_seed,
                 "solver": solver_name,
                 "eps": eps_used,
@@ -232,9 +231,14 @@ def run_capacity_experiment(
     return rows
 
 
+CAPACITY_COLUMNS = (
+    "d", "m", "beta", "M", "trials", "success_rate", "mean_error", "seed",
+    "solver", "eps", "sphere_radius",
+)
+
+
 def capacity_experiment_csv(rows, path) -> None:
-    cols = ["d", "m", "beta", "M", "trials", "success_rate", "mean_error", "seed"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CAPACITY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)

@@ -66,6 +66,8 @@ class PatternMatrix:
     allow_empty: bool = False
 
     def __post_init__(self):
+        if self.role not in ("memory", "query"):
+            raise ValueError(f"role must be 'memory' or 'query', got {self.role!r}")
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2:
             raise DimensionMismatch("pattern data must be a 2-D array")
@@ -105,10 +107,6 @@ class PatternMatrix:
         if self.data.size == 0:
             return 0.0
         return float(np.max(np.linalg.norm(self.data, axis=0)))
-
-    @classmethod
-    def from_columns(cls, columns, role: str = "memory") -> "PatternMatrix":
-        return cls(np.column_stack(columns), role=role)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -158,8 +156,9 @@ class PatternMatrix:
                 f"{path}: header says {d}x{n} = {d * n} entries, "
                 f"file holds {len(payload) // 8}"
             )
+        # a read-only view of the payload; a memory role copies it once
         data = np.frombuffer(payload, dtype="<f8").reshape(n, d).T
-        return cls(_require_finite(data, path).copy(), role=role, allow_empty=True)
+        return cls(_require_finite(data, path), role=role, allow_empty=True)
 
 
 def _frozen_copy(data: np.ndarray) -> np.ndarray:
@@ -343,19 +342,6 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
     return poly, fmap, b
 
 
-def lowrank_factors(
-    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
-):
-    """Fit the exp polynomial and build the factor pair (U1, U2) with
-    U1 @ U2.T approximating exp(beta Xi^T X) entrywise to delta_a."""
-    poly, fmap, b = _fit(memory, queries, cfg)
-    scale = np.sqrt(cfg.beta)
-    u1, u2 = fm.build_factor_matrices(
-        fmap, scale * memory.data.T, scale * queries.data.T
-    )
-    return u1, u2, poly, fmap, b
-
-
 def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalization):
     """The memory side of the factored retrieval: [Xi; 1^T] @ U1 ((d+1) x r)
     for QUERY, U1 (M x r) for MEMORY.  It is kept on a memory-role matrix,
@@ -380,15 +366,31 @@ def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalizati
     return state
 
 
+def _lowrank_sides(
+    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
+):
+    """The fit and both sides of the factored retrieval: (poly, fmap, B,
+    memory state, U2).  The memory state is the one ``_memory_state`` keeps
+    ([Xi; 1^T] @ U1 for QUERY, U1 for MEMORY); U2 holds the monomials of
+    sqrt(beta) X, so state @ U2.T carries exp(beta Xi^T X) to delta_a."""
+    poly, fmap, b = _fit(memory, queries, cfg)
+    scale = np.sqrt(cfg.beta)
+    state = _memory_state(memory, fmap, scale, cfg.normalization)
+    _, u2 = fm.build_factor_matrices(
+        fmap, np.empty((0, memory.d)), scale * queries.data.T
+    )
+    return poly, fmap, b, state, u2
+
+
 def lowrank_normalizers(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ) -> np.ndarray:
     """Approximated normalizer vector (row sums for MEMORY, column sums for
-    QUERY) from the factored form."""
-    u1, u2, _, _, _ = lowrank_factors(memory, queries, cfg)
+    QUERY) from the same factored form retrieval uses."""
+    _, _, _, state, u2 = _lowrank_sides(memory, queries, cfg)
     if cfg.normalization is Normalization.MEMORY:
-        return fm.factored_row_sums(u1, u2)
-    return fm.factored_col_sums(u1, u2)
+        return fm.factored_row_sums(state, u2)
+    return state[-1] @ u2.T  # the 1^T U1 row of the QUERY state
 
 
 def dense_normalizers(
@@ -415,12 +417,7 @@ def retrieve_lowrank(
     matching normalization convention.
     """
     start = time.perf_counter()
-    poly, fmap, b = _fit(memory, queries, cfg)
-    scale = np.sqrt(cfg.beta)
-    state = _memory_state(memory, fmap, scale, cfg.normalization)
-    _, u2 = fm.build_factor_matrices(
-        fmap, np.empty((0, memory.d)), scale * queries.data.T
-    )
+    poly, fmap, b, state, u2 = _lowrank_sides(memory, queries, cfg)
     by_rows = cfg.normalization is Normalization.MEMORY
     if by_rows:
         norm = fm.factored_row_sums(state, u2)

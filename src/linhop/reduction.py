@@ -30,7 +30,7 @@ from .hopfield import (
     Normalization,
     PatternMatrix,
     RetrievalConfig,
-    lowrank_factors,
+    _lowrank_sides,
     retrieve_lowrank,
 )
 
@@ -244,14 +244,10 @@ def scenario1_brute_force(
     return verdicts
 
 
-def build_ahop_instance(
-    inst: AnnsInstance,
-    C_beta: float | None = None,
-    C_alpha: float | None = None,
-):
+def build_ahop_instance(inst: AnnsInstance):
     """Memory and query pattern matrices (2d x 2n) plus the reduction
     constants, laid out exactly as the case analysis prescribes."""
-    params = compute_params(inst.n, inst.d, inst.t, inst.delta, C_beta, C_alpha)
+    params = compute_params(inst.n, inst.d, inst.t, inst.delta)
     n, d, b = inst.n, inst.d, params.B
     xi = np.zeros((2 * d, 2 * n))
     xi[:d, :n] = inst.set_a.T
@@ -317,7 +313,8 @@ def _lowrank_statistic(
     block = math.exp(params.B**2)
     top_mem = PatternMatrix(memory.data[:, :n], role="memory")
     left_qry = PatternMatrix(queries.data[:, :n], role="query")
-    u1, u2, _, _, _ = lowrank_factors(top_mem, left_qry, cfg)
+    # MEMORY normalization: the kept memory state is U1 itself
+    _, _, _, u1, u2 = _lowrank_sides(top_mem, left_qry, cfg)
     d = np.empty(2 * n)
     d[:n] = fm.factored_row_sums(u1, u2) + n * block
     d[n:] = n * block
@@ -329,29 +326,16 @@ def _lowrank_statistic(
 
 def solve_gap_anns_via_ahop(
     inst: AnnsInstance,
-    params: ReductionParams | None = None,
     solver: str = "dense",
     convention: AConvention = AConvention.AS_WRITTEN,
-    delta_a: float = 1e-3,
-    max_degree: int = 32,
 ) -> CaseDecision:
     """Threshold the last retrieval row at 2 t_tilde to decide, for each
     j in [n], whether some a_i lies within distance t of b_j."""
-    memory, queries, built = build_ahop_instance(
-        inst,
-        None if params is None else params.C_beta,
-        None if params is None else params.C_alpha,
-    )
-    params = built
+    memory, queries, params = build_ahop_instance(inst)
     if solver == "dense":
         stat = _dense_statistic(memory, queries, params, convention)
     elif solver == "lowrank":
-        cfg = RetrievalConfig(
-            beta=params.beta,
-            delta_a=delta_a,
-            normalization=Normalization.MEMORY,
-            max_degree=max_degree,
-        )
+        cfg = RetrievalConfig(beta=params.beta, normalization=Normalization.MEMORY)
         stat = _lowrank_statistic(memory, queries, params, convention, cfg)
     else:
         raise ValueError(f"unknown solver {solver!r}")
@@ -452,10 +436,10 @@ def verify_reduction(
     trials: int,
     rng_seed: int = 0,
     solver: str = "dense",
-    convention: AConvention = AConvention.AS_WRITTEN,
 ) -> dict:
-    """Run planted case-1 and case-2 instances through the pipeline and report
-    agreement with the brute-force oracle on promised queries."""
+    """Run planted case-1 and case-2 instances through the pipeline, under
+    the AS_WRITTEN convention, and report agreement with the brute-force
+    oracle on promised queries."""
     report = {
         "n": n,
         "d": d,
@@ -463,7 +447,7 @@ def verify_reduction(
         "delta": delta,
         "trials": trials,
         "solver": solver,
-        "convention": convention.value,
+        "convention": AConvention.AS_WRITTEN.value,
         "promised_queries": 0,
         "agreements": 0,
         "disagreements": [],
@@ -474,7 +458,7 @@ def verify_reduction(
         inst = planted_instance(plant, n, d, t, delta, rng_seed=rng_seed + trial)
         kind = f"{plant}-planted"
         oracle = classify_queries(inst)
-        decision = solve_gap_anns_via_ahop(inst, solver=solver, convention=convention)
+        decision = solve_gap_anns_via_ahop(inst, solver=solver)
         promised = agreed = 0
         for j, truth in enumerate(oracle):
             if truth == "indeterminate":

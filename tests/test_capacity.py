@@ -1,13 +1,17 @@
 """Tests for Lambert W, the well-separation condition, and the capacity
 formula and experiment."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from linhop import capacity
 from linhop.capacity import (
+    CAPACITY_COLUMNS,
     CapacityParams,
+    capacity_experiment_csv,
     capacity_lower_bound,
     check_well_separated,
     lambert_w0,
@@ -15,7 +19,13 @@ from linhop.capacity import (
     well_separation_threshold,
 )
 from linhop.errors import InfeasibleStorage, OutOfDomain, SingleMemory
-from linhop.hopfield import PatternMatrix
+from linhop.hopfield import (
+    PatternMatrix,
+    RetrievalConfig,
+    lowrank_error_bound,
+    pattern_radius,
+    retrieve_dense,
+)
 
 
 def bisect_w(target, lo=0.0, hi=10.0):
@@ -172,6 +182,8 @@ def test_experiment_reference_success():
 
 def test_experiment_empty():
     assert run_capacity_experiment(8, 2.0, 1.0, [1, 2], trials=0) == []
+    with pytest.raises(ValueError, match="trials"):
+        run_capacity_experiment(8, 2.0, 1.0, [1, 2], trials=-1)
 
 
 def test_experiment_deterministic():
@@ -186,3 +198,73 @@ def test_experiment_rows_schema():
     for key in ("d", "m", "beta", "M", "trials", "success_rate", "mean_error", "seed"):
         assert key in row
     assert row["d"] == 8 and row["M"] == 2 and row["trials"] == 5
+
+
+@pytest.mark.parametrize(
+    "d, m, beta, fallback",
+    [(4, 1.0, 0.25, False), (8, math.sqrt(8), 1.0, True)],
+)
+def test_experiment_makes_one_retrieval_per_M(monkeypatch, d, m, beta, fallback):
+    calls = {"retrieve_lowrank": [], "retrieve_dense": []}
+    for name in calls:
+        inner = getattr(capacity, name)
+
+        def counted(memory, queries, cfg, inner=inner, name=name):
+            calls[name].append(queries.count)
+            return inner(memory, queries, cfg)
+
+        monkeypatch.setattr(capacity, name, counted)
+    rows = run_capacity_experiment(d, m, beta, [2, 4, 8], trials=25, rng_seed=0)
+    assert [r["solver"] for r in rows] == ["dense-fallback" if fallback else "lowrank"] * 3
+    # the low-rank attempt and, where it is infeasible, one dense call
+    assert calls["retrieve_lowrank"] == [25, 25, 25]
+    assert calls["retrieve_dense"] == ([25, 25, 25] if fallback else [])
+
+
+def test_experiment_fallback_matches_per_trial_dense_loop():
+    d, m, beta, trials, seed = 8, math.sqrt(8), 1.0, 60, 4
+    rows = run_capacity_experiment(
+        d, m, beta, [2, 8, 16], trials=trials, rng_seed=seed
+    )
+    cfg = RetrievalConfig(beta=beta)
+    for row in rows:
+        m_count = row["M"]
+        # the experiment's memory: M draws on the radius-m sphere
+        rng = np.random.default_rng([seed, m_count])
+        draws = [rng.standard_normal(d) for _ in range(m_count)]
+        xi = np.column_stack([m * v / np.linalg.norm(v) for v in draws])
+        memory = PatternMatrix(xi)
+        radius = pattern_radius(memory)
+        eps = radius / 2.0 + lowrank_error_bound(m_count, memory.max_norm, 1e-3)
+        successes, errors = 0, []
+        for trial in range(trials):
+            trng = np.random.default_rng([seed, m_count, trial])
+            mu = int(trng.integers(m_count))
+            noise = trng.standard_normal(d)
+            query = xi[:, mu] + 0.1 * radius * noise / np.linalg.norm(noise)
+            batch = PatternMatrix(query[:, None], role="query")
+            z = retrieve_dense(memory, batch, cfg).Z
+            err = float(np.linalg.norm(z[:, 0] - xi[:, mu]))
+            errors.append(err)
+            nearest = int(np.argmin(np.linalg.norm(xi - z, axis=0)))
+            successes += err <= eps and nearest == mu
+        assert row["solver"] == "dense-fallback"
+        assert row["success_rate"] == successes / trials
+        assert row["eps"] == eps and row["sphere_radius"] == radius
+        assert abs(row["mean_error"] - float(np.mean(errors))) <= 1e-12
+
+
+def test_experiment_csv_writes_every_row_key(tmp_path):
+    rows = run_capacity_experiment(8, 2.0, 1.0, [1, 2], trials=5, rng_seed=0)
+    path = tmp_path / "cap.csv"
+    capacity_experiment_csv(rows, path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CAPACITY_COLUMNS
+        back = list(reader)
+    assert CAPACITY_COLUMNS[:8] == (
+        "d", "m", "beta", "M", "trials", "success_rate", "mean_error", "seed"
+    )
+    assert set(CAPACITY_COLUMNS) == set(rows[0])
+    assert [{k: str(v) for k, v in row.items()} for row in rows] == back
+    assert back[1]["solver"] == "dense-fallback"

@@ -1,5 +1,6 @@
 """Tests for the command-line entry point."""
 
+import csv
 import json
 
 import numpy as np
@@ -188,6 +189,19 @@ def test_capacity_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("d,m,beta,M,trials,success_rate,mean_error,seed")
     assert len(lines) == 3
+    capsys.readouterr()
+
+
+def test_capacity_falls_back_where_a_trial_outgrows_the_probe(tmp_path, capsys):
+    # a perturbed query has larger entries than any stored pattern, so the
+    # batch's fit interval ([-14.84, 14.84]) is one no degree <= 32 certifies
+    out = tmp_path / "cap.csv"
+    assert main(["capacity", "--d", "4", "--beta", "1", "--M-list", "4",
+                 "--trials", "30", "--seed", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["solver"] == "dense-fallback"
+    assert rows[0]["M"] == "4" and rows[0]["trials"] == "30"
     capsys.readouterr()
 
 

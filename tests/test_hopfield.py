@@ -20,7 +20,7 @@ from linhop.errors import (
     SingleMemory,
     SizeOverflow,
 )
-from linhop.feature_map import factored_row_sums
+from linhop.feature_map import build_factor_matrices, factored_row_sums
 from linhop.hopfield import (
     Normalization,
     PatternMatrix,
@@ -28,7 +28,6 @@ from linhop.hopfield import (
     dense_normalizers,
     energy,
     fixed_point_iterate,
-    lowrank_factors,
     lowrank_normalizers,
     lse,
     max_norm_error,
@@ -352,6 +351,23 @@ def test_pattern_matrix_validation():
     assert empty.max_norm == 0.0
 
 
+def test_pattern_matrix_rejects_unknown_role():
+    with pytest.raises(ValueError, match="role"):
+        PatternMatrix(np.ones((3, 2)), role="memroy")
+
+
+def test_pattern_binary_query_is_a_read_only_view(tmp_path):
+    rng = np.random.default_rng(19)
+    mem = random_patterns(rng, 6, 3)
+    path = tmp_path / "m.bin"
+    mem.to_binary(path)
+    query = PatternMatrix.from_binary(path, role="query")
+    assert np.array_equal(query.data, mem.data)
+    assert not query.data.flags.writeable and not query.data.flags.owndata
+    back = PatternMatrix.from_binary(path)
+    assert np.array_equal(back.data, mem.data) and not back.data.flags.writeable
+
+
 def test_retrieve_dimension_mismatch():
     mem = PatternMatrix(np.ones((3, 2)))
     q = PatternMatrix(np.ones((4, 2)), role="query")
@@ -436,7 +452,9 @@ def test_lowrank_memory_assembly_matches_factor_scaling():
     mem = random_patterns(rng, 8, 40)
     q = random_patterns(rng, 8, 30, role="query")
     cfg = RetrievalConfig(beta=0.5, normalization=Normalization.MEMORY)
-    u1, u2, poly, _, _ = lowrank_factors(mem, q, cfg)
+    poly, fmap, _ = hopfield._fit(mem, q, cfg)
+    scale = math.sqrt(cfg.beta)
+    u1, u2 = build_factor_matrices(fmap, scale * mem.data.T, scale * q.data.T)
     assert np.max(np.abs(u1 @ u2.T - poly(cfg.beta * mem.data.T @ q.data))) <= 1e-9
     norm = factored_row_sums(u1, u2)
     reference = (mem.data @ (u1 / norm[:, None])) @ u2.T
