@@ -203,16 +203,11 @@ def run_capacity_experiment(
         except (DegreeExhausted, SizeOverflow):
             z = retrieve_dense(memory, batch, cfg).Z
             solver_name = "dense-fallback"
-        successes = 0
-        errors = []
-        for retrieved, mu in zip(z.T, targets):
-            err = float(np.linalg.norm(retrieved - memory.data[:, mu]))
-            errors.append(err)
-            nearest = int(
-                np.argmin(np.linalg.norm(memory.data - retrieved[:, None], axis=0))
-            )
-            if err <= eps_used and nearest == mu:
-                successes += 1
+        errors = np.linalg.norm(z - memory.data[:, targets], axis=0)
+        nearest = np.argmin(
+            np.linalg.norm(memory.data[:, :, None] - z[:, None, :], axis=0), axis=0
+        )
+        successes = int(np.count_nonzero((errors <= eps_used) & (nearest == targets)))
         rows.append(
             {
                 "d": d,

@@ -319,8 +319,8 @@ def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_
             entry = (poly, fm.build_feature_map(poly, d, rank_cap))
         except (DegreeExhausted, SizeOverflow) as exc:
             entry = exc.with_traceback(None)  # keep no frames alive in the cache
-        if len(_FIT_CACHE) > 64:
-            _FIT_CACHE.clear()
+        if len(_FIT_CACHE) > 64:  # evict the oldest; kept memory states key on fmap
+            del _FIT_CACHE[next(iter(_FIT_CACHE))]
         _FIT_CACHE[key] = entry
     if isinstance(entry, Exception):
         raise type(entry)(*entry.args)
@@ -345,8 +345,9 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
 def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalization):
     """The memory side of the factored retrieval: [Xi; 1^T] @ U1 ((d+1) x r)
     for QUERY, U1 (M x r) for MEMORY.  It is kept on a memory-role matrix,
-    whose data cannot change, and rebuilt when the feature map (a new fit or
-    a cleared fit cache), sqrt(beta) or the normalization differs."""
+    whose data cannot change, and rebuilt when the feature map (a new fit, or
+    a refit after its fit-cache entry was evicted), sqrt(beta) or the
+    normalization differs."""
     kept = memory.__dict__.get("_lowrank_state")
     if kept is not None and kept[0] is fmap and kept[1] == scale and kept[2] is normalization:
         return kept[3]

@@ -268,3 +268,43 @@ def test_experiment_csv_writes_every_row_key(tmp_path):
     assert set(CAPACITY_COLUMNS) == set(rows[0])
     assert [{k: str(v) for k, v in row.items()} for row in rows] == back
     assert back[1]["solver"] == "dense-fallback"
+
+
+@pytest.mark.parametrize(
+    "d, m, beta, seed, eps",
+    [
+        (4, 1.0, 0.25, 0, None),
+        # a loose eps leaves the nearest-pattern test to decide
+        (4, 1.0, 0.25, 0, 10.0),
+        (8, math.sqrt(8), 1.0, 7, None),
+        (16, 4.0, 1.0, 11, None),
+    ],
+)
+def test_experiment_scoring_matches_per_trial_loop(monkeypatch, d, m, beta, seed, eps):
+    # score the very Z each retrieval returned with the per-trial loop
+    returned = []
+    for name in ("retrieve_lowrank", "retrieve_dense"):
+        inner = getattr(capacity, name)
+
+        def recorded(memory, queries, cfg, inner=inner):
+            out = inner(memory, queries, cfg)
+            returned.append((memory.data, out.Z))
+            return out
+
+        monkeypatch.setattr(capacity, name, recorded)
+    trials = 40
+    rows = run_capacity_experiment(
+        d, m, beta, [2, 8, 32], trials=trials, rng_seed=seed, eps=eps
+    )
+    assert len(returned) == len(rows)  # a failed low-rank attempt returns nothing
+    for row, (xi, z) in zip(rows, returned):
+        m_count = row["M"]
+        successes, errors = 0, []
+        for trial in range(trials):
+            mu = int(np.random.default_rng([seed, m_count, trial]).integers(m_count))
+            err = float(np.linalg.norm(z[:, trial] - xi[:, mu]))
+            errors.append(err)
+            nearest = int(np.argmin(np.linalg.norm(xi - z[:, trial, None], axis=0)))
+            successes += err <= row["eps"] and nearest == mu
+        assert row["success_rate"] == successes / trials
+        assert abs(row["mean_error"] - float(np.mean(errors))) <= 1e-15

@@ -492,6 +492,33 @@ def test_failed_fit_is_not_repeated(monkeypatch, entry, cfg, error):
     assert messages[0] == messages[1]
 
 
+def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    cfg = RetrievalConfig(beta=0.5)
+
+    def fill(first, count):
+        # distinct d = 1 keys, one per snapped interval, each a cheap fit
+        for k in range(first, first + count):
+            hopfield._fitted_pair(
+                1e-6 * 1.25 ** (k + 0.5), cfg.delta_a, cfg.max_degree, 1, cfg.rank_cap
+            )
+
+    fill(0, 64)
+    rng = np.random.default_rng(33)
+    mem = random_patterns(rng, 4, 20)
+    q = random_patterns(rng, 4, 5, role="query")
+    retrieve_lowrank(mem, q, cfg)  # the 65th key, and the newest
+    assert len(hopfield._FIT_CACHE) == 65
+    poly, fmap, _ = hopfield._fit(mem, q, cfg)
+    rows = _count_memory_rows(monkeypatch)
+    fill(64, 1)  # one key past the bound
+    assert len(hopfield._FIT_CACHE) == 65
+    again = hopfield._fit(mem, q, cfg)
+    assert again[0] is poly and again[1] is fmap
+    retrieve_lowrank(mem, q, cfg)
+    assert sum(rows) == 0  # the kept memory state is still current
+
+
 def _count_memory_rows(monkeypatch):
     """Record the memory-side row count of every factor build."""
     rows = []

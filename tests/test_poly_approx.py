@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev, Polynomial
 
+from linhop import poly_approx
 from linhop.errors import DegreeExhausted, InvalidBound
 from linhop.poly_approx import (
     ExpPolynomial,
@@ -142,3 +144,53 @@ def test_invariant_validation():
         ExpPolynomial((1.0,), 0, 1.0, 1e-2, 2e-2)  # certificate above target
     with pytest.raises(ValueError):
         ExpPolynomial((1.0, 1.0), 0, 1.0, 1e-2, 1e-3)  # wrong count
+
+
+def test_cheb_to_power_is_bit_identical_to_convert():
+    # past b = 709 exp overflows on the grid; NaN payloads may differ there
+    bounds = [*np.geomspace(1e-3, 200.0, 25), 800.0, 1e4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in bounds:
+            for degree in range(1, 33):
+                cheb = Chebyshev.interpolate(np.exp, degree, domain=[-b, b])
+                ours = poly_approx._cheb_to_power(cheb)
+                ref = cheb.convert(kind=Polynomial).coef  # trims trailing zeros
+                assert len(ours) == degree + 1
+                ref = np.pad(ref, (0, len(ours) - len(ref)))
+                nan = np.isnan(ref)
+                assert np.array_equal(np.isnan(ours), nan), (b, degree)
+                assert ours[~nan].tobytes() == ref[~nan].tobytes(), (b, degree)
+
+
+def convert_route_fit(bound, delta_a, max_degree=32):
+    """The fit loop as it was written with ``Chebyshev.convert``."""
+    grid = poly_approx._validation_grid(bound)
+    for degree in range(1, max_degree + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cheb = Chebyshev.interpolate(np.exp, degree, domain=[-bound, bound])
+            coeffs = cheb.convert(kind=Polynomial).coef
+        if not np.all(np.isfinite(coeffs)):
+            continue
+        if len(coeffs) < degree + 1:
+            coeffs = np.pad(coeffs, (0, degree + 1 - len(coeffs)))
+        err = poly_approx._rel_error_on(coeffs, grid)
+        if err <= delta_a and coeffs[-1] != 0.0:
+            return degree, tuple(float(c) for c in coeffs), err
+    raise DegreeExhausted(
+        f"no degree <= {max_degree} reaches relative error {delta_a} "
+        f"on [-{bound}, {bound}]"
+    )
+
+
+@pytest.mark.parametrize("delta_a", [1e-2, 1e-3, 1e-6])
+def test_fit_matches_convert_route(delta_a):
+    for bound in (1e-3, 0.05, 0.7, 3.0, 9.5, 24.0, 110.5, 200.0, 800.0):
+        try:
+            expected = convert_route_fit(bound, delta_a)
+        except DegreeExhausted as exc:
+            with pytest.raises(DegreeExhausted) as info:
+                fit_exp_poly(bound, delta_a)
+            assert str(info.value) == str(exc)
+            continue
+        p = fit_exp_poly(bound, delta_a)
+        assert (p.degree, p.coeffs, p.certified_rel_error) == expected
