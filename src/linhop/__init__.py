@@ -33,7 +33,6 @@ from .feature_map import (
     MonomialFeatureMap,
     build_factor_matrices,
     build_feature_map,
-    factored_col_sums,
     factored_row_sums,
 )
 from .hopfield import (

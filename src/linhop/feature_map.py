@@ -154,21 +154,10 @@ def build_factor_matrices(
 
 def factored_row_sums(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Row sums of U1 @ U2.T in O((M+L) r) without forming the product."""
-    u1, u2 = _check_factors(u1, u2)
-    return u1 @ u2.sum(axis=0)
-
-
-def factored_col_sums(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Column sums of U1 @ U2.T in O((M+L) r)."""
-    u1, u2 = _check_factors(u1, u2)
-    return u2 @ u1.sum(axis=0)
-
-
-def _check_factors(u1, u2):
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if u1.ndim != 2 or u2.ndim != 2 or u1.shape[1] != u2.shape[1]:
         raise DimensionMismatch(
             f"factor shapes {u1.shape} and {u2.shape} do not share an inner dimension"
         )
-    return u1, u2
+    return u1 @ u2.sum(axis=0)

@@ -7,6 +7,10 @@ Patterns are stored column-wise.  Two normalization conventions are supported:
 * ``MEMORY``: Z = Xi @ D^{-1} @ A with D = diag(row sums of A), the convention
   the reduction analysis uses.
 
+The dense path runs one kernel in one pass over chunks of the score matrix,
+each shifted by its maximum along the normalized axis: QUERY chunks over
+query columns, MEMORY over memories, so every chunk holds whole normalizers.
+
 The low-rank path scales both inputs by sqrt(beta), fits an exp polynomial on
 the score interval, factors it through the monomial feature map, and assembles
 the output with the associativity order that never materializes the M x L
@@ -186,7 +190,6 @@ class RetrievalConfig:
     delta_a: float = 1e-3
     normalization: Normalization = Normalization.QUERY
     max_degree: int = pa.DEFAULT_MAX_DEGREE
-    rank_cap: int = fm.DEFAULT_RANK_CAP
     solver: str = "dense"
 
     def __post_init__(self):
@@ -250,43 +253,40 @@ def _check_dims(memory: PatternMatrix, queries: PatternMatrix) -> None:
         )
     if memory.count == 0:
         raise EmptyVector("retrieval needs at least one stored pattern")
+    if queries.count == 0:
+        raise EmptyVector("retrieval needs at least one query")
 
 
-def _score_chunks(memory: PatternMatrix, queries: PatternMatrix, beta: float):
-    """Yield (cols, beta Xi^T X[:, cols]) over chunks of query columns."""
-    xi, x = memory.data, queries.data
-    chunk = max(1, DENSE_CHUNK_ELEMENTS // memory.count)
-    for lo in range(0, queries.count, chunk):
-        cols = slice(lo, min(lo + chunk, queries.count))
-        yield cols, beta * (xi.T @ x[:, cols])
+def _softmax_chunks(a: np.ndarray, b: np.ndarray, beta: float):
+    """Yield (cols, w, w.sum(axis=0)) over chunks of b's columns, where w is
+    exp(beta a^T b[:, cols]) with each column shifted by its maximum."""
+    chunk = max(1, DENSE_CHUNK_ELEMENTS // a.shape[1])
+    for lo in range(0, b.shape[1], chunk):
+        cols = slice(lo, min(lo + chunk, b.shape[1]))
+        w = beta * (a.T @ b[:, cols])
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        yield cols, w, w.sum(axis=0)
 
 
 def retrieve_dense(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ) -> RetrievalResult:
-    """Exact softmax retrieval, Theta(dML), chunked over query columns."""
+    """Exact softmax retrieval, Theta(dML), in one pass of one kernel.  Each
+    chunk holds whole normalizer vectors: QUERY chunks over query columns,
+    MEMORY over memories (a memory's score row arrives as a column)."""
     _check_dims(memory, queries)
-    xi = memory.data
+    xi, x = memory.data, queries.data
     start = time.perf_counter()
 
-    z = np.empty((memory.d, queries.count))
     if cfg.normalization is Normalization.QUERY:
-        for cols, s in _score_chunks(memory, queries, cfg.beta):
-            s -= s.max(axis=0, keepdims=True)
-            w = np.exp(s)
-            z[:, cols] = (xi @ w) / w.sum(axis=0, keepdims=True)
+        z = np.empty((memory.d, queries.count))
+        for cols, w, sums in _softmax_chunks(xi, x, cfg.beta):
+            z[:, cols] = (xi @ w) / sums
     else:
-        # row normalization needs global row maxima and row sums first; one
-        # pass keeps a running max and rescales the running sum to it
-        row_max = np.full(memory.count, -np.inf)
-        row_sum = np.zeros(memory.count)
-        for _, s in _score_chunks(memory, queries, cfg.beta):
-            new_max = np.maximum(row_max, s.max(axis=1))
-            row_sum *= np.exp(row_max - new_max)
-            row_sum += np.exp(s - new_max[:, None]).sum(axis=1)
-            row_max = new_max
-        for cols, s in _score_chunks(memory, queries, cfg.beta):
-            z[:, cols] = xi @ (np.exp(s - row_max[:, None]) / row_sum[:, None])
+        z = np.zeros((memory.d, queries.count))
+        for rows, w, sums in _softmax_chunks(x, xi, cfg.beta):
+            z += (xi[:, rows] / sums) @ w.T
     return RetrievalResult(
         Z=z,
         rank_used=0,
@@ -299,7 +299,7 @@ def retrieve_dense(
 _FIT_CACHE: dict = {}
 
 
-def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_cap: int):
+def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int):
     """Memoized (polynomial, feature map) pair.  The interval is snapped up to
     a coarse geometric grid (within 25%) so repeated retrievals with slightly
     different measured norms reuse one fit; widening the interval only
@@ -311,12 +311,12 @@ def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int, rank_
         raise InvalidBound(
             f"score interval [-{interval:g}, {interval:g}] overflows floating point"
         ) from None
-    key = (snapped, delta_a, max_degree, d, rank_cap)
+    key = (snapped, delta_a, max_degree, d)
     entry = _FIT_CACHE.get(key)
     if entry is None:
         try:
             poly = pa.fit_exp_poly(snapped, delta_a, max_degree)
-            entry = (poly, fm.build_feature_map(poly, d, rank_cap))
+            entry = (poly, fm.build_feature_map(poly, d))
         except (DegreeExhausted, SizeOverflow) as exc:
             entry = exc.with_traceback(None)  # keep no frames alive in the cache
         if len(_FIT_CACHE) > 64:  # evict the oldest; kept memory states key on fmap
@@ -336,9 +336,7 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
         raise NonFiniteInput("low-rank retrieval needs finite pattern entries")
     b = max(b_memory, b_queries)
     interval = b * b * cfg.beta * memory.d
-    poly, fmap = _fitted_pair(
-        interval, cfg.delta_a, cfg.max_degree, memory.d, cfg.rank_cap
-    )
+    poly, fmap = _fitted_pair(interval, cfg.delta_a, cfg.max_degree, memory.d)
     return poly, fmap, b
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev, polyutils
+from numpy.polynomial import chebyshev, polynomial, polyutils
 
 from .errors import DegreeExhausted, InvalidBound
 
@@ -80,18 +80,11 @@ class ExpPolynomial:
         )
 
 
-def _validation_grid(interval_bound: float, n: int = GRID_POINTS) -> np.ndarray:
-    # Uniform grid; endpoints included explicitly so the certificate always
-    # covers the interval boundary.
-    grid = np.linspace(-interval_bound, interval_bound, n)
-    return np.union1d(grid, np.array([-interval_bound, interval_bound]))
-
-
 def _rel_error_on(coeffs: np.ndarray, x: np.ndarray) -> float:
     # |P(x) - e^x| / e^x computed as |P(x) e^{-x} - 1|: stable when e^x
     # overflows (e^{-x} underflows to 0 and the ratio saturates at 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p = np.polynomial.polynomial.polyval(x, coeffs)
+        p = polynomial.polyval(x, coeffs)
         err = np.abs(p * np.exp(-x) - 1.0)
     err = np.where(np.isnan(err), np.inf, err)
     return float(np.max(err))
@@ -140,7 +133,9 @@ def fit_exp_poly(
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
 
-    grid = _validation_grid(interval_bound)
+    # uniform, and linspace returns both endpoints exactly, so the
+    # certificate covers the interval boundary
+    grid = np.linspace(-interval_bound, interval_bound, GRID_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         for degree in range(1, max_degree + 1):
             coeffs = _cheb_to_power(
@@ -166,12 +161,10 @@ def fit_exp_poly(
 
 
 def eval_poly(p: ExpPolynomial, x):
-    """Horner evaluation of the power-basis polynomial at ``x`` (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    acc = np.full_like(x, p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * x + c
-    return float(acc) if acc.ndim == 0 else acc
+    """Horner evaluation of the power-basis polynomial at ``x`` (scalar or
+    array), by the ``polyval`` that certifies the fit."""
+    value = polynomial.polyval(np.asarray(x, dtype=float), p.coeffs)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def sup_relative_error(p: ExpPolynomial, grid_points: int) -> float:

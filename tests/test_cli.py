@@ -1,6 +1,7 @@
 """Tests for the command-line entry point."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -90,13 +91,16 @@ def test_retrieve_non_finite_memory_exits_1(tmp_path, capsys, bad):
 
 
 def test_retrieve_empty_memory_exits_1(tmp_path, capsys):
-    m_path = tmp_path / "empty.csv"
-    m_path.write_text("dim=2\n")
-    q_path = tmp_path / "q.csv"
-    q_path.write_text("dim=2\n0.1,0.2\n")
-    for mode in ("dense", "lowrank"):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("dim=2\n")
+    one = tmp_path / "one.csv"
+    one.write_text("dim=2\n0.1,0.2\n")
+    cases = itertools.product(((empty, one), (one, empty)), ("dense", "lowrank"),
+                              ("query", "memory"))
+    for (m_path, q_path), mode, normalization in cases:
         code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
-                     "--mode", mode, "--out", str(tmp_path / "z.csv")])
+                     "--mode", mode, "--normalization", normalization,
+                     "--out", str(tmp_path / "z.csv")])
         assert code == 1
         assert "EmptyVector" in capsys.readouterr().err
 

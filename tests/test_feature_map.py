@@ -11,7 +11,6 @@ from linhop.feature_map import (
     DEFAULT_RANK_CAP,
     build_factor_matrices,
     build_feature_map,
-    factored_col_sums,
     factored_row_sums,
 )
 from linhop.poly_approx import ExpPolynomial, fit_exp_poly
@@ -177,7 +176,6 @@ def test_factor_matrices_dimension_mismatch():
 def test_factored_sums_all_ones():
     ones = np.ones((2, 1))
     assert np.allclose(factored_row_sums(ones, ones), [2.0, 2.0])
-    assert np.allclose(factored_col_sums(ones, ones), [2.0, 2.0])
 
 
 def test_factored_sums_match_dense():
@@ -186,14 +184,12 @@ def test_factored_sums_match_dense():
     u2 = rng.normal(size=(6, 4))
     prod = u1 @ u2.T
     assert np.max(np.abs(factored_row_sums(u1, u2) - prod.sum(axis=1))) <= 1e-12
-    assert np.max(np.abs(factored_col_sums(u1, u2) - prod.sum(axis=0))) <= 1e-12
 
 
 def test_factored_sums_zero_rank():
     u1 = np.empty((3, 0))
     u2 = np.empty((5, 0))
     assert np.array_equal(factored_row_sums(u1, u2), np.zeros(3))
-    assert np.array_equal(factored_col_sums(u1, u2), np.zeros(5))
 
 
 def test_factored_sums_mismatch():

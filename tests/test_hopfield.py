@@ -375,27 +375,58 @@ def test_retrieve_dimension_mismatch():
         retrieve_dense(mem, q, RetrievalConfig(beta=1.0))
 
 
-def test_dense_memory_normalization_across_chunks(monkeypatch):
-    # two query columns per chunk; scores up to 500 overflow exp unless each
-    # row is shifted by its maximum, which rises from chunk to chunk
-    monkeypatch.setattr(hopfield, "DENSE_CHUNK_ELEMENTS", 8)
-    mem = PatternMatrix(np.array([[1.0, 2.0, -1.0, 0.5], [1.0, 0.5, -2.0, 1.5]]))
-    q = PatternMatrix(np.outer([1.0, 1.0], np.linspace(10.0, 200.0, 12)), role="query")
-    cfg = RetrievalConfig(beta=1.0, normalization=Normalization.MEMORY)
+@pytest.mark.parametrize("per_chunk", [1, 2, None], ids=["1", "2", "all"])
+@pytest.mark.parametrize("normalization", ["QUERY", "MEMORY"])
+def test_dense_memory_normalization_across_chunks(monkeypatch, per_chunk, normalization):
+    # QUERY chunks over query columns, MEMORY over memories, so every chunk
+    # holds whole normalizer vectors.  Scores reach 800, so exp overflows
+    # without a shift; shifted along the other axis, memory -2's row and the
+    # last query's column underflow to a zero normalizer.
+    by_rows = normalization == "MEMORY"
+    xi = np.vstack([np.linspace(-2.0, 2.0, 5), np.ones(5)])
+    x = np.vstack([[*np.linspace(200.0, 400.0, 6), 300.0], [0.0] * 6 + [-2000.0]])
+    mem, q = PatternMatrix(xi), PatternMatrix(x, role="query")
+    # one side is chunked; each of its columns holds the other side's count
+    m, l = xi.shape[1], x.shape[1]
+    chunked, other = (m, l) if by_rows else (l, m)
+    if per_chunk is not None:
+        monkeypatch.setattr(hopfield, "DENSE_CHUNK_ELEMENTS", per_chunk * other)
+    widths = []
+    kernel = hopfield._softmax_chunks
+
+    def recording(a, b, beta):
+        for cols, w, sums in kernel(a, b, beta):
+            widths.append(w.shape[1])
+            yield cols, w, sums
+
+    monkeypatch.setattr(hopfield, "_softmax_chunks", recording)
+    cfg = RetrievalConfig(beta=1.0, normalization=Normalization[normalization])
     out = retrieve_dense(mem, q, cfg).Z
-    s = mem.data.T @ q.data
-    a = np.exp(s - s.max(axis=1, keepdims=True))
-    ref = mem.data @ (a / a.sum(axis=1, keepdims=True))
+    s = xi.T @ x
+    axis = 1 if by_rows else 0
+    assert np.min(np.exp(s - s.max(axis=1 - axis, keepdims=True)).sum(axis=axis)) == 0.0
+    a = np.exp(s - s.max(axis=axis, keepdims=True))
+    a /= a.sum(axis=axis, keepdims=True)
+    ref = xi @ a
+    step = per_chunk or chunked
+    assert widths == [min(step, chunked - lo) for lo in range(0, chunked, step)]
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_retrieve_empty_memory():
-    mem = PatternMatrix(np.ones((2, 0)), allow_empty=True)
-    q = PatternMatrix(np.ones((2, 3)), role="query")
-    for retrieve in (retrieve_dense, retrieve_lowrank):
-        with pytest.raises(EmptyVector):
-            retrieve(mem, q, RetrievalConfig(beta=1.0))
+    empty_memory = PatternMatrix(np.ones((2, 0)), allow_empty=True)
+    empty_queries = PatternMatrix(np.ones((2, 0)), role="query", allow_empty=True)
+    cases = [
+        (empty_memory, PatternMatrix(np.ones((2, 3)), role="query")),
+        (PatternMatrix(np.ones((2, 3))), empty_queries),
+    ]
+    for mem, q in cases:
+        for retrieve in (retrieve_dense, retrieve_lowrank):
+            for normalization in Normalization:
+                cfg = RetrievalConfig(beta=1.0, normalization=normalization)
+                with pytest.raises(EmptyVector):
+                    retrieve(mem, q, cfg)
 
 
 def test_lowrank_rejects_non_finite_queries():
@@ -463,15 +494,16 @@ def test_lowrank_memory_assembly_matches_factor_scaling():
 
 
 @pytest.mark.parametrize(
-    "entry, cfg, error",
+    "d, entry, cfg, error",
     [
         # interval beta d B^2 = 64 needs more than degree 8
-        (4.0, RetrievalConfig(beta=1.0, max_degree=8), DegreeExhausted),
-        # the fit on interval 4 succeeds, but its d = 4 rank exceeds 10
-        (1.0, RetrievalConfig(beta=1.0, rank_cap=10), SizeOverflow),
+        (4, 4.0, RetrievalConfig(beta=1.0, max_degree=8), DegreeExhausted),
+        # interval 64 * (1/8)^2 = 1 fits at degree 5, but its d = 64 rank
+        # C(69, 5) = 11,238,513 exceeds the default cap
+        (64, 0.125, RetrievalConfig(beta=1.0), SizeOverflow),
     ],
 )
-def test_failed_fit_is_not_repeated(monkeypatch, entry, cfg, error):
+def test_failed_fit_is_not_repeated(monkeypatch, d, entry, cfg, error):
     monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
     calls = []
     fit = poly_approx.fit_exp_poly
@@ -481,8 +513,8 @@ def test_failed_fit_is_not_repeated(monkeypatch, entry, cfg, error):
         return fit(*args)
 
     monkeypatch.setattr(poly_approx, "fit_exp_poly", counting_fit)
-    mem = PatternMatrix(np.full((4, 3), entry))
-    q = PatternMatrix(np.full((4, 2), entry), role="query")
+    mem = PatternMatrix(np.full((d, 3), entry))
+    q = PatternMatrix(np.full((d, 2), entry), role="query")
     messages = []
     for _ in range(2):
         with pytest.raises(error) as info:
@@ -500,7 +532,7 @@ def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
         # distinct d = 1 keys, one per snapped interval, each a cheap fit
         for k in range(first, first + count):
             hopfield._fitted_pair(
-                1e-6 * 1.25 ** (k + 0.5), cfg.delta_a, cfg.max_degree, 1, cfg.rank_cap
+                1e-6 * 1.25 ** (k + 0.5), cfg.delta_a, cfg.max_degree, 1
             )
 
     fill(0, 64)

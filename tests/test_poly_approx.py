@@ -164,7 +164,7 @@ def test_cheb_to_power_is_bit_identical_to_convert():
 
 def convert_route_fit(bound, delta_a, max_degree=32):
     """The fit loop as it was written with ``Chebyshev.convert``."""
-    grid = poly_approx._validation_grid(bound)
+    grid = np.linspace(-bound, bound, poly_approx.GRID_POINTS)
     for degree in range(1, max_degree + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             cheb = Chebyshev.interpolate(np.exp, degree, domain=[-bound, bound])
