@@ -7,9 +7,14 @@ Patterns are stored column-wise.  Two normalization conventions are supported:
 * ``MEMORY``: Z = Xi @ D^{-1} @ A with D = diag(row sums of A), the convention
   the reduction analysis uses.
 
-The dense path runs one kernel in one pass over chunks of the score matrix,
-each shifted by its maximum along the normalized axis: QUERY chunks over
-query columns, MEMORY over memories, so every chunk holds whole normalizers.
+The dense path runs one kernel in one pass over chunks of the score matrix:
+QUERY chunks over query columns, MEMORY over memories, so every chunk holds
+whole normalizers.  Each normalized column is shifted by its Cauchy-Schwarz
+bound beta R ||b_j|| (R the other side's largest column norm), folded into
+the score matmul as a ones row, so no max pass runs; only where that bound is
+too loose for the exponent range is the column max subtracted as well.  A
+memory matrix keeps [Xi; 1^T] and its column norms, and QUERY takes each
+normalizer from the ones row of [Xi; 1^T] @ W.
 
 The low-rank path scales both inputs by sqrt(beta), fits an exp polynomial on
 the score interval, factors it through the monomial feature map, and assembles
@@ -60,10 +65,10 @@ class PatternMatrix:
     """d x N matrix whose columns are patterns.
 
     A memory-role matrix owns a read-only copy of its data, so its
-    ``max_norm`` is computed once and low-rank retrieval keeps its memory-side
-    state on it.  A query-role matrix is a view of the caller's array (no
-    copy), and its ``max_norm`` is computed on each access.
-    ``pattern_norm_radius`` is computed on each access for both roles."""
+    ``max_norm`` and ``pattern_norm_radius`` are computed once, and dense and
+    low-rank retrieval keep their memory-side state on it.  A query-role
+    matrix is a view of the caller's array (no copy); both values are
+    computed on each access, and retrieval keeps nothing on it."""
 
     data: np.ndarray
     role: str = "memory"
@@ -107,10 +112,9 @@ class PatternMatrix:
 
     @property
     def pattern_norm_radius(self) -> float:
-        """Max column 2-norm."""
-        if self.data.size == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.data, axis=0)))
+        """Max column 2-norm R, the max of the column norms the dense path
+        keeps; beta R_mem ||x_j|| bounds every score of query x_j."""
+        return _dense_side(self)[2]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -257,16 +261,51 @@ def _check_dims(memory: PatternMatrix, queries: PatternMatrix) -> None:
         raise EmptyVector("retrieval needs at least one query")
 
 
-def _softmax_chunks(a: np.ndarray, b: np.ndarray, beta: float):
-    """Yield (cols, w, w.sum(axis=0)) over chunks of b's columns, where w is
-    exp(beta a^T b[:, cols]) with each column shifted by its maximum."""
-    chunk = max(1, DENSE_CHUNK_ELEMENTS // a.shape[1])
+# The bound shift leaves a column's largest weight at least
+# exp(-2 beta R_a ||b_j||), R_a the largest column norm on the other side.  Up
+# to this exponent that weight stays far above the subnormal range
+# (exp(-708)), where weights lose precision and past exp(-745) the normalizer
+# is zero; beyond it the kernel subtracts the column max as well.
+BOUND_SHIFT_LIMIT = 600.0
+
+
+def _dense_side(patterns: PatternMatrix):
+    """([P; 1^T], P's column norms, their max), the arrays read-only: the
+    (d+1) x N array is C-contiguous and used through ``.T``, so its ones row
+    adds a shift row to every score.  Kept on a memory-role matrix, whose
+    data cannot change."""
+    kept = patterns.__dict__.get("_dense_side")
+    if kept is not None:
+        return kept
+    data = patterns.data
+    p1 = _frozen_copy(np.vstack([data, np.ones((1, data.shape[1]))]))
+    norms = np.hypot.reduce(data, axis=0)
+    norms.flags.writeable = False
+    kept = (p1, norms, float(norms.max()) if norms.size else 0.0)
+    if patterns.role == "memory":
+        patterns.__dict__["_dense_side"] = kept
+    return kept
+
+
+def _softmax_chunks(a1: np.ndarray, r_a: float, b: np.ndarray, b_norms, beta: float):
+    """Yield (cols, w) over chunks of b's columns, where a1 = [a; 1^T], r_a is
+    a's largest column norm and w = exp(beta a^T b[:, cols] - shift).  Column
+    j's shift is its score bound beta r_a ||b_j||: a1.T times the block
+    [beta b; -shift] subtracts it inside the matmul, so every weight is at
+    most 1 and no max pass runs.  Past ``BOUND_SHIFT_LIMIT`` each column's
+    max is subtracted too, and its largest weight is 1."""
+    block = np.empty((b.shape[0] + 1, b.shape[1]))
+    np.multiply(b, beta, out=block[:-1])
+    shift = np.multiply(b_norms, -beta * r_a, out=block[-1])
+    wide = -2.0 * float(shift.min()) > BOUND_SHIFT_LIMIT
+    chunk = max(1, DENSE_CHUNK_ELEMENTS // a1.shape[1])
     for lo in range(0, b.shape[1], chunk):
         cols = slice(lo, min(lo + chunk, b.shape[1]))
-        w = beta * (a.T @ b[:, cols])
-        w -= w.max(axis=0)
+        w = a1.T @ block[:, cols]
+        if wide:
+            w -= w.max(axis=0)
         np.exp(w, out=w)
-        yield cols, w, w.sum(axis=0)
+        yield cols, w
 
 
 def retrieve_dense(
@@ -274,19 +313,27 @@ def retrieve_dense(
 ) -> RetrievalResult:
     """Exact softmax retrieval, Theta(dML), in one pass of one kernel.  Each
     chunk holds whole normalizer vectors: QUERY chunks over query columns,
-    MEMORY over memories (a memory's score row arrives as a column)."""
+    MEMORY over memories (a memory's score row arrives as a column).  Scores
+    are shifted by their Cauchy-Schwarz bound, not by their maximum (see
+    ``_softmax_chunks``).  QUERY reads numerators and normalizers from one
+    matmul with the kept [Xi; 1^T]; MEMORY builds [X; 1^T] per call."""
     _check_dims(memory, queries)
     xi, x = memory.data, queries.data
     start = time.perf_counter()
 
     if cfg.normalization is Normalization.QUERY:
+        xi1, _, r_mem = _dense_side(memory)
         z = np.empty((memory.d, queries.count))
-        for cols, w, sums in _softmax_chunks(xi, x, cfg.beta):
-            z[:, cols] = (xi @ w) / sums
+        x_norms = np.hypot.reduce(x, axis=0)
+        for cols, w in _softmax_chunks(xi1, r_mem, x, x_norms, cfg.beta):
+            nd = xi1 @ w
+            z[:, cols] = nd[:-1] / nd[-1]
     else:
+        x1, _, r_qry = _dense_side(queries)
+        xi_norms = _dense_side(memory)[1]
         z = np.zeros((memory.d, queries.count))
-        for rows, w, sums in _softmax_chunks(x, xi, cfg.beta):
-            z += (xi[:, rows] / sums) @ w.T
+        for rows, w in _softmax_chunks(x1, r_qry, xi, xi_norms, cfg.beta):
+            z += (xi[:, rows] / w.sum(axis=0)) @ w.T
     return RetrievalResult(
         Z=z,
         rank_used=0,

@@ -394,10 +394,10 @@ def test_dense_memory_normalization_across_chunks(monkeypatch, per_chunk, normal
     widths = []
     kernel = hopfield._softmax_chunks
 
-    def recording(a, b, beta):
-        for cols, w, sums in kernel(a, b, beta):
+    def recording(*args):
+        for cols, w in kernel(*args):
             widths.append(w.shape[1])
-            yield cols, w, sums
+            yield cols, w
 
     monkeypatch.setattr(hopfield, "_softmax_chunks", recording)
     cfg = RetrievalConfig(beta=1.0, normalization=Normalization[normalization])
@@ -412,6 +412,118 @@ def test_dense_memory_normalization_across_chunks(monkeypatch, per_chunk, normal
     assert widths == [min(step, chunked - lo) for lo in range(0, chunked, step)]
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+def _record_chunk_maxima(monkeypatch):
+    """Each chunk's column maxima.  A column shifted by its max has largest
+    weight exactly 1; under the bound shift alone every weight is below 1."""
+    maxima = []
+    kernel = hopfield._softmax_chunks
+
+    def recording(*args):
+        for cols, w in kernel(*args):
+            maxima.append(w.max(axis=0))
+            yield cols, w
+
+    monkeypatch.setattr(hopfield, "_softmax_chunks", recording)
+    return maxima
+
+
+def _long_double_reference(xi, x, beta, by_rows):
+    xi, x = xi.astype(np.longdouble), x.astype(np.longdouble)
+    s = beta * (xi.T @ x)
+    axis = 1 if by_rows else 0
+    a = np.exp(s - s.max(axis=axis, keepdims=True))
+    return (xi @ (a / a.sum(axis=axis, keepdims=True))).astype(float)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, None], ids=["1", "2", "all"])
+@pytest.mark.parametrize("normalization", list(Normalization))
+def test_dense_bound_shift_matches_long_double(monkeypatch, per_chunk, normalization):
+    # bounded entries: every column is shifted by its score bound, not its max
+    rng = np.random.default_rng(41)
+    xi, x = rng.uniform(-1, 1, (5, 9)), rng.uniform(-1, 1, (5, 7))
+    by_rows = normalization is Normalization.MEMORY
+    chunked, other = (xi.shape[1], x.shape[1]) if by_rows else (x.shape[1], xi.shape[1])
+    if per_chunk is not None:
+        monkeypatch.setattr(hopfield, "DENSE_CHUNK_ELEMENTS", per_chunk * other)
+    maxima = _record_chunk_maxima(monkeypatch)
+    cfg = RetrievalConfig(beta=2.0, normalization=normalization)
+    out = retrieve_dense(PatternMatrix(xi), PatternMatrix(x, role="query"), cfg).Z
+    assert len(maxima) == -(-chunked // (per_chunk or chunked))
+    assert np.all(np.concatenate(maxima) < 1.0)
+    ref = _long_double_reference(xi, x, cfg.beta, by_rows)
+    assert max_norm_error(out, ref) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "exponent, max_pass",
+    [(599.0, False), (601.0, True), (760.0, True)],
+    ids=["below", "past", "underflow"],
+)
+@pytest.mark.parametrize("normalization", list(Normalization))
+def test_dense_max_shift_past_bound_limit(
+    monkeypatch, exponent, max_pass, normalization
+):
+    # unit memories near angle 0 and unit queries near pi: every score sits
+    # near its lower bound, so the bound shift leaves each column's largest
+    # weight near exp(-exponent), exponent = 2 beta R_a max ||b_j||.  Past
+    # BOUND_SHIFT_LIMIT (600) the column max is subtracted too; at 760 the
+    # bound shift alone would leave every normalizer zero.
+    def unit(angles):
+        return np.vstack([np.cos(angles), np.sin(angles)])
+
+    xi = unit(np.linspace(-0.05, 0.05, 6))
+    x = unit(np.pi + np.linspace(-0.05, 0.05, 5))
+    by_rows = normalization is Normalization.MEMORY
+    a, b = (x, xi) if by_rows else (xi, x)
+    r_a, b_norms = np.linalg.norm(a, axis=0).max(), np.linalg.norm(b, axis=0)
+    beta = exponent / (2.0 * r_a * b_norms.max())
+    maxima = _record_chunk_maxima(monkeypatch)
+    cfg = RetrievalConfig(beta=beta, normalization=normalization)
+    out = retrieve_dense(PatternMatrix(xi), PatternMatrix(x, role="query"), cfg).Z
+    maxima = np.concatenate(maxima)
+    if max_pass:
+        assert np.all(maxima == 1.0)
+    else:
+        assert np.all(maxima < 1.0)
+    bound_sums = np.exp(beta * (a.T @ b - r_a * b_norms)).sum(axis=0)
+    assert (np.min(bound_sums) == 0.0) == (exponent == 760.0)
+    assert np.all(np.isfinite(out))
+    ref = _long_double_reference(xi, x, beta, by_rows)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+def test_dense_warm_calls_are_bit_equal(normalization):
+    rng = np.random.default_rng(42)
+    mem = random_patterns(rng, 4, 300)
+    q_arr = rng.uniform(-1, 1, (4, 40))
+    q = PatternMatrix(q_arr, role="query")
+    cfg = RetrievalConfig(beta=0.5, normalization=normalization)
+    first = retrieve_dense(mem, q, cfg).Z
+    for memory in (mem, copy.copy(mem), pickle.loads(pickle.dumps(mem))):
+        assert np.array_equal(retrieve_dense(memory, q, cfg).Z, first)
+    xi1, norms, _ = hopfield._dense_side(mem)
+    assert hopfield._dense_side(mem)[0] is xi1
+    assert not xi1.flags.writeable and not norms.flags.writeable
+    assert np.array_equal(xi1, np.vstack([mem.data, np.ones((1, mem.count))]))
+    assert mem.pattern_norm_radius == pytest.approx(
+        np.linalg.norm(mem.data, axis=0).max(), rel=1e-15
+    )
+    assert PatternMatrix(np.array([[-3.0, 2.0]])).pattern_norm_radius == 3.0
+    # a query-role matrix keeps nothing, as memory or as queries: a change to
+    # the caller's array shows in the next call
+    m_arr = mem.data.copy()
+    as_memory = PatternMatrix(m_arr, role="query")
+    assert max_norm_error(retrieve_dense(as_memory, q, cfg).Z, first) <= 1e-15
+    m_arr[:, :100] *= 2.0
+    q_arr[:, :20] *= -3.0
+    fresh = PatternMatrix(q_arr.copy(), role="query")
+    expected = retrieve_dense(PatternMatrix(m_arr), fresh, cfg).Z
+    assert max_norm_error(retrieve_dense(as_memory, q, cfg).Z, expected) <= 1e-15
+    assert max_norm_error(first, expected) > 1e-3
+    assert as_memory.pattern_norm_radius == PatternMatrix(m_arr).pattern_norm_radius
 
 
 def test_retrieve_empty_memory():
