@@ -11,16 +11,18 @@ multinomial expansion of ``P(<u, v>)``, giving the exact factorization
 with rank C(d+g, g).  Indices are kept in graded-lexicographic order and each
 monomial is built from its parent by a single multiplication, so factor
 matrices cost O(rows * rank) multiplications.  The work is rank-major: a
-C-ordered rank x n buffer holds one monomial per row, so each level gathers
-whole contiguous parent rows.  The n x rank arrays handed back are transposed
-views of that buffer (Fortran order); callers must not assume C-contiguity.
+C-ordered rank x n buffer holds one monomial per row.  The n x rank arrays
+handed back are transposed views of that buffer (Fortran order); callers must
+not assume C-contiguity.
 
-The map is built level by level: each alpha of degree t spawns the children
-alpha + e_v for every slot v at or after its last nonzero slot, so every alpha
-of degree t+1 has exactly one parent (drop one unit from its last nonzero
-slot).  A lexsort puts each level in ascending lexicographic order, and the
-multinomials follow m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1) in exact
-integers before one conversion to float.
+The parent of an alpha of degree t+1 drops one unit from its first nonzero
+slot v.  Within a level in lexicographic order, the indices that are zero
+before slot v form a prefix of length C(t+d-1-v, t), and adding e_v keeps
+their order.  So level t+1 is the concatenation, for v = d-1 down to 0, of
+that prefix of level t times variable v: one in-place multiplication of
+contiguous rows per run, with no gather and no sort.  The multinomials follow
+m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1) in exact integers before one
+conversion to float.
 """
 
 from __future__ import annotations
@@ -46,35 +48,34 @@ class MonomialFeatureMap:
     exponents: np.ndarray  # rank x d
     weights: np.ndarray  # rank
     rank: int
-    # build plan: column k (k >= 1) is column _parents[k-1] times variable
-    # _vars[k-1] of the input row
-    _parents: np.ndarray = field(repr=False)
-    _vars: np.ndarray = field(repr=False)
-    # first column of each degree, then rank: degree t is _bounds[t]:_bounds[t+1]
-    _bounds: tuple = field(repr=False)
+    # build plan: _prefixes[t][k] is how many leading indices of degree t
+    # are multiplied by variable d-1-k to give the next run of degree t+1
+    _prefixes: tuple = field(repr=False)
 
     def monomials(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate all monomials at each row of ``rows`` (shape n x d).
 
         Returns an n x rank transposed view of a rank x n buffer (Fortran
-        order).  The buffer is filled from ``rows.T``, which is copied only if
-        it is not already C-contiguous."""
+        order).  Each run of a level is one multiplication of a contiguous
+        slice of the level before it by one variable, written in place.  The
+        buffer is filled from ``rows.T``, which is copied only if it is not
+        already C-contiguous."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise DimensionMismatch(
                 f"expected shape (*, {self.d}), got {rows.shape}"
             )
-        cols = np.ascontiguousarray(rows.T)
         out = np.empty((self.rank, rows.shape[0]))
+        if not rows.shape[0]:
+            return out.T
+        cols = np.ascontiguousarray(rows.T)
         out[0] = 1.0
-        # a level's parents all lie in the level before it, so one gather of
-        # whole parent rows keeps the single-multiplication recurrence vectorized
-        for start, stop in zip(self._bounds[1:], self._bounds[2:]):
-            parents = self._parents[start - 1 : stop - 1]
-            variables = self._vars[start - 1 : stop - 1]
-            level = out[start:stop]
-            np.take(out[:start], parents, axis=0, out=level, mode="clip")
-            level *= cols[variables]
+        src, dst = 0, 1  # first row of the parent level and of the next run
+        for sizes in self._prefixes:
+            for var, n in zip(range(self.d - 1, -1, -1), sizes):
+                np.multiply(out[src : src + n], cols[var], out=out[dst : dst + n])
+                dst += n
+            src += sizes[-1]  # the prefix for variable 0 is the whole level
         return out.T
 
 
@@ -95,36 +96,28 @@ def build_feature_map(
     level = np.zeros((1, d), dtype=np.int64)
     multinomials = np.ones(1, dtype=object)  # Python ints: exact at any degree
     exps, weights = [level], [p.coeffs[0] * multinomials.astype(float)]
-    no_parent = np.empty(0, dtype=np.int64)  # degree 0 is the root
-    parents, variables = [no_parent], [no_parent]
-    bounds = [0, 1]
+    prefixes = []
     for t in range(g):
-        last = np.max((level > 0) * np.arange(d), axis=1)
-        counts = d - last
-        src = np.repeat(np.arange(len(level)), counts)
-        # v runs from last to d-1 within each parent's run of children
-        var = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts - last, counts)
-        child = level[src]
-        child[np.arange(len(src)), var] += 1
-        order = np.lexsort(child.T[::-1])
-        level, src, var = child[order], src[order], var[order]
-        # m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1), exact in integers
-        raised = level[np.arange(len(level)), var].astype(object)
-        multinomials = multinomials[src] * (t + 1) // raised
+        # the degree-t indices that are zero before slot v: C(t+d-1-v, t)
+        sizes = tuple(math.comb(t + k, t) for k in range(d))
+        runs, counts = [], []
+        for v, n in zip(range(d - 1, -1, -1), sizes):
+            child = level[:n].copy()
+            child[:, v] += 1
+            runs.append(child)
+            # m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1), exact in integers
+            counts.append(multinomials[:n] * (t + 1) // child[:, v].astype(object))
+        level, multinomials = np.concatenate(runs), np.concatenate(counts)
         exps.append(level)
         weights.append(p.coeffs[t + 1] * multinomials.astype(float))
-        parents.append(bounds[t] + src)
-        variables.append(var)
-        bounds.append(bounds[-1] + len(level))
+        prefixes.append(sizes)
     return MonomialFeatureMap(
         d=d,
         g=g,
         exponents=np.concatenate(exps),
         weights=np.concatenate(weights),
         rank=rank,
-        _parents=np.concatenate(parents),
-        _vars=np.concatenate(variables),
-        _bounds=tuple(bounds),
+        _prefixes=tuple(prefixes),
     )
 
 

@@ -293,15 +293,20 @@ def _softmax_chunks(a1: np.ndarray, r_a: float, b: np.ndarray, b_norms, beta: fl
     j's shift is its score bound beta r_a ||b_j||: a1.T times the block
     [beta b; -shift] subtracts it inside the matmul, so every weight is at
     most 1 and no max pass runs.  Past ``BOUND_SHIFT_LIMIT`` each column's
-    max is subtracted too, and its largest weight is 1."""
+    max is subtracted too, and its largest weight is 1.  Each yielded w is
+    overwritten by the next chunk of the same width, so chunks do not fault
+    in a fresh array each."""
     block = np.empty((b.shape[0] + 1, b.shape[1]))
     np.multiply(b, beta, out=block[:-1])
     shift = np.multiply(b_norms, -beta * r_a, out=block[-1])
     wide = -2.0 * float(shift.min()) > BOUND_SHIFT_LIMIT
     chunk = max(1, DENSE_CHUNK_ELEMENTS // a1.shape[1])
+    w = None
     for lo in range(0, b.shape[1], chunk):
         cols = slice(lo, min(lo + chunk, b.shape[1]))
-        w = a1.T @ block[:, cols]
+        if w is None or w.shape[1] != cols.stop - lo:
+            w = np.empty((a1.shape[1], cols.stop - lo))
+        np.matmul(a1.T, block[:, cols], out=w)
         if wide:
             w -= w.max(axis=0)
         np.exp(w, out=w)
@@ -400,10 +405,10 @@ def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalizati
         fmap, scale * memory.data.T, np.empty((0, memory.d))
     )
     if normalization is Normalization.QUERY:
-        # computed as (U1^T [Xi; 1^T]^T)^T: OpenBLAS ran the (d+1) x M @ M x r
-        # order 2-4x slower at M = 16384, with 50-150 ms stalls while another
-        # process held a core
-        state = (u1.T @ np.hstack([memory.data.T, np.ones((memory.count, 1))])).T
+        # computed as (U1^T [Xi; 1^T]^T)^T, from the [Xi; 1^T] the dense path
+        # keeps: OpenBLAS ran the (d+1) x M @ M x r order 2-4x slower at
+        # M = 16384, with 50-150 ms stalls while another process held a core
+        state = (u1.T @ _dense_side(memory)[0].T).T
     else:
         state = u1
     state.flags.writeable = False

@@ -66,25 +66,41 @@ def test_enumerate_size_overflow():
 
 
 def reference_feature_map(coeffs, d):
-    """Exponents, weights, parents and variables of the feature map of the
-    polynomial with these coefficients, enumerated by brute force."""
+    """Exponents and weights of the feature map of the polynomial with these
+    coefficients, enumerated by brute force."""
     g = len(coeffs) - 1
     exps = sorted(
         (a for a in itertools.product(range(g + 1), repeat=d) if sum(a) <= g),
         key=lambda a: (sum(a), a),
     )
-    index = {a: k for k, a in enumerate(exps)}
-    weights, parents, variables = [], [], []
+    weights = []
     for a in exps:
         multinomial = math.factorial(sum(a))
         for e in a:
             multinomial //= math.factorial(e)
         weights.append(coeffs[sum(a)] * float(multinomial))
-        if any(a):
-            v = max(i for i, e in enumerate(a) if e)
-            parents.append(index[a[:v] + (a[v] - 1,) + a[v + 1 :]])
-            variables.append(v)
-    return exps, weights, parents, variables
+    return exps, weights
+
+
+def replay_prefix_plan(fmap, exps):
+    """Check the map's prefix plan against the reference exponents: each
+    prefix holds exactly the indices of its level that are zero before its
+    variable, and adding that variable to every prefix, in plan order, yields
+    the next level of the reference."""
+    d = fmap.d
+    assert len(fmap._prefixes) == fmap.g
+    level = [exps[0]]
+    rebuilt = list(level)
+    for sizes in fmap._prefixes:
+        assert len(sizes) == d
+        child = []
+        for v, n in zip(range(d - 1, -1, -1), sizes):
+            assert n == sum(1 for a in level if not any(a[:v]))
+            assert all(not any(a[:v]) for a in level[:n])
+            child += [a[:v] + (a[v] + 1,) + a[v + 1 :] for a in level[:n]]
+        rebuilt += child
+        level = child
+    assert rebuilt == exps
 
 
 def test_build_matches_reference():
@@ -93,11 +109,32 @@ def test_build_matches_reference():
     for d, g in [(1, 0), (1, 6), (2, 5), (3, 4), (5, 3), (7, 2), (4, 31), (4, 32)]:
         coeffs = [2.0**-t for t in range(g + 1)]
         fmap = build_feature_map(poly_from_coeffs(coeffs), d)
-        exps, weights, parents, variables = reference_feature_map(coeffs, d)
+        exps, weights = reference_feature_map(coeffs, d)
         assert np.array_equal(fmap.exponents, np.array(exps).reshape(-1, d))
         assert np.array_equal(fmap.weights, weights)
-        assert np.array_equal(fmap._parents, parents)
-        assert np.array_equal(fmap._vars, variables)
+        replay_prefix_plan(fmap, exps)
+
+
+def test_build_d8_g13_graded_lex_and_monomial_accuracy():
+    # the phase sweep's largest map: rank 203,490
+    d, g = 8, 13
+    fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
+    assert fmap.rank == math.comb(d + g, g) == 203_490
+    exps = fmap.exponents
+    degree = exps.sum(axis=1)
+    assert np.all(np.diff(degree) >= 0)
+    assert degree[0] == 0 and degree[-1] == g
+    # within a degree, each index is lexicographically above the one before
+    same = degree[1:] == degree[:-1]
+    step = exps[1:] - exps[:-1]
+    first = np.argmax(step != 0, axis=1)
+    assert np.all(np.any(step != 0, axis=1))
+    assert np.all(step[np.arange(len(step)), first][same] > 0)
+    rng = np.random.default_rng(13)
+    rows = rng.uniform(-1.5, 1.5, (3, d))
+    for row, out in zip(rows, fmap.monomials(rows)):
+        exact = np.prod(row.astype(np.longdouble) ** exps, axis=1)
+        assert np.max(np.abs(out - exact) / np.abs(exact)) <= g * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
