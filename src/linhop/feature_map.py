@@ -52,20 +52,29 @@ class MonomialFeatureMap:
     # are multiplied by variable d-1-k to give the next run of degree t+1
     _prefixes: tuple = field(repr=False)
 
-    def monomials(self, rows: np.ndarray) -> np.ndarray:
+    def monomials(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate all monomials at each row of ``rows`` (shape n x d).
 
         Returns an n x rank transposed view of a rank x n buffer (Fortran
-        order).  Each run of a level is one multiplication of a contiguous
-        slice of the level before it by one variable, written in place.  The
-        buffer is filled from ``rows.T``, which is copied only if it is not
-        already C-contiguous."""
+        order): a new one, or the first n columns of ``out``, a rank x m
+        float array with m >= n and contiguous rows, so that a caller walking
+        rows in blocks reuses one buffer.  Each run of a level is one
+        multiplication of a contiguous slice of the level before it by one
+        variable, written in place.  The buffer is filled from ``rows.T``,
+        which is copied only if it is not already C-contiguous."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise DimensionMismatch(
                 f"expected shape (*, {self.d}), got {rows.shape}"
             )
-        out = np.empty((self.rank, rows.shape[0]))
+        if out is None:
+            out = np.empty((self.rank, rows.shape[0]))
+        elif out.shape[0] != self.rank or out.shape[1] < rows.shape[0]:
+            raise DimensionMismatch(
+                f"out must be ({self.rank}, >= {rows.shape[0]}), got {out.shape}"
+            )
+        else:
+            out = out[:, : rows.shape[0]]
         if not rows.shape[0]:
             return out.T
         cols = np.ascontiguousarray(rows.T)
@@ -122,13 +131,15 @@ def build_feature_map(
 
 
 def build_factor_matrices(
-    fmap: MonomialFeatureMap, x_rows: np.ndarray, y_rows: np.ndarray
+    fmap: MonomialFeatureMap, x_rows: np.ndarray, y_rows: np.ndarray, out=None
 ):
     """U1 (rows phi_u of x_rows) and U2 (rows phi_v of y_rows) with
     U1 @ U2.T == P(x_rows @ y_rows.T) entrywise.
 
     Both are n x rank transposed views of rank-major buffers (Fortran order);
-    the weights are applied to U1 in place."""
+    the weights are applied to U1 in place.  ``out`` is the buffer for a call
+    with one empty side: the other side's factor is written into it, as in
+    ``MonomialFeatureMap.monomials``."""
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
     if x_rows.size == 0:
@@ -139,9 +150,11 @@ def build_factor_matrices(
         raise DimensionMismatch(
             f"row width must be {fmap.d}, got {x_rows.shape[1]} and {y_rows.shape[1]}"
         )
-    u1 = fmap.monomials(x_rows)
+    if out is not None and len(x_rows) and len(y_rows):
+        raise ValueError("out holds one side's factor; one side must be empty")
+    u1 = fmap.monomials(x_rows, out)
     u1 *= fmap.weights
-    u2 = fmap.monomials(y_rows)
+    u2 = fmap.monomials(y_rows, out)
     return u1, u2
 
 

@@ -22,7 +22,10 @@ the output with the associativity order that never materializes the M x L
 score matrix.  The memory side of that factorization is built once per memory
 matrix, in O(M r) monomial work for rank r, and kept on it: for QUERY the
 (d+1) x r state [Xi; 1^T] @ U1, after which a call costs O(L r d) whatever M
-is; for MEMORY the M x r factor U1 itself.
+is; for MEMORY the M x r factor U1 itself.  QUERY never holds U1 or U2 whole:
+both sides walk their rows in blocks of ``FACTOR_BLOCK_ELEMENTS`` entries
+through one reused rank-major buffer and contract each block at once, so its
+working memory is one block instead of O((M + L) r).
 """
 
 from __future__ import annotations
@@ -53,6 +56,15 @@ from .errors import (
 # element budget for one chunk of the M x L score matrix; a fixed working-set
 # size keeps the dense path's cache behavior uniform across problem sizes
 DENSE_CHUNK_ELEMENTS = 2**20
+
+# element budget (rank x rows) for one block of QUERY monomials: 2^23
+# doubles, 64 MiB.  Every shape up to that size stays in one block, such as
+# 16,384 rows at rank 126, where 2-8 blocks made the monomials slower.  At
+# rank 203,490 (d = 8, degree 13) it gives 41-row blocks: a cold 256 x 256
+# retrieval there took 0.55-0.61 s with blocks of 10-82 rows, 0.75 s with 329
+# rows and 3.0 s with 1-row blocks, whose numpy inner loops are one row long
+# (2-vCPU Xeon).
+FACTOR_BLOCK_ELEMENTS = 2**23
 
 
 class Normalization(enum.Enum):
@@ -392,25 +404,47 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
     return poly, fmap, b
 
 
+def _monomial_blocks(fmap, rows: np.ndarray):
+    """Yield (block, U) over consecutive blocks of ``rows`` (n x d), U the
+    block's monomials (no coefficient weights) as a transposed view of one
+    rank-major buffer: at most ``FACTOR_BLOCK_ELEMENTS`` entries, and
+    overwritten by the next block.  Each block goes through
+    ``build_factor_matrices`` as its pure-monomial side."""
+    step = max(1, FACTOR_BLOCK_ELEMENTS // fmap.rank)
+    buf = np.empty((fmap.rank, min(step, rows.shape[0])))
+    empty = np.empty((0, fmap.d))
+    for lo in range(0, rows.shape[0], step):
+        block = slice(lo, min(lo + step, rows.shape[0]))
+        yield block, fm.build_factor_matrices(fmap, empty, rows[block], buf)[1]
+
+
 def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalization):
     """The memory side of the factored retrieval: [Xi; 1^T] @ U1 ((d+1) x r)
     for QUERY, U1 (M x r) for MEMORY.  It is kept on a memory-role matrix,
     whose data cannot change, and rebuilt when the feature map (a new fit, or
     a refit after its fit-cache entry was evicted), sqrt(beta) or the
-    normalization differs."""
+    normalization differs.
+
+    QUERY never forms U1: it sums U_blk^T [Xi; 1^T]_blk^T over the blocks of
+    ``_monomial_blocks``, reading the [Xi; 1^T] the dense path keeps, and
+    applies the coefficient weights once to the r x (d+1) sum, r (d+1)
+    multiplies instead of M r.  The U^T-first order is kept because OpenBLAS
+    ran the (d+1) x M @ M x r order 2-4x slower at M = 16384, with 50-150 ms
+    stalls while another process held a core."""
     kept = memory.__dict__.get("_lowrank_state")
     if kept is not None and kept[0] is fmap and kept[1] == scale and kept[2] is normalization:
         return kept[3]
-    u1, _ = fm.build_factor_matrices(
-        fmap, scale * memory.data.T, np.empty((0, memory.d))
-    )
+    rows = scale * memory.data.T
     if normalization is Normalization.QUERY:
-        # computed as (U1^T [Xi; 1^T]^T)^T, from the [Xi; 1^T] the dense path
-        # keeps: OpenBLAS ran the (d+1) x M @ M x r order 2-4x slower at
-        # M = 16384, with 50-150 ms stalls while another process held a core
-        state = (u1.T @ _dense_side(memory)[0].T).T
+        xi1 = _dense_side(memory)[0]
+        acc = np.zeros((fmap.rank, memory.d + 1))
+        part = np.empty_like(acc)
+        for block, u in _monomial_blocks(fmap, rows):
+            acc += np.matmul(u.T, xi1[:, block].T, out=part)
+        acc *= fmap.weights[:, None]
+        state = acc.T
     else:
-        state = u1
+        state, _ = fm.build_factor_matrices(fmap, rows, np.empty((0, memory.d)))
     state.flags.writeable = False
     if memory.role == "memory":
         memory.__dict__["_lowrank_state"] = (fmap, scale, normalization, state)
@@ -420,17 +454,33 @@ def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalizati
 def _lowrank_sides(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ):
-    """The fit and both sides of the factored retrieval: (poly, fmap, B,
-    memory state, U2).  The memory state is the one ``_memory_state`` keeps
-    ([Xi; 1^T] @ U1 for QUERY, U1 for MEMORY); U2 holds the monomials of
-    sqrt(beta) X, so state @ U2.T carries exp(beta Xi^T X) to delta_a."""
+    """The fit and both factors of the MEMORY-normalized retrieval: (poly,
+    fmap, B, U1, U2), U1 the kept memory state of ``_memory_state`` and U2
+    the monomials of sqrt(beta) X, so U1 @ U2.T carries exp(beta Xi^T X) to
+    delta_a.  MEMORY needs U2 whole, since it reads it twice."""
     poly, fmap, b = _fit(memory, queries, cfg)
     scale = np.sqrt(cfg.beta)
-    state = _memory_state(memory, fmap, scale, cfg.normalization)
+    u1 = _memory_state(memory, fmap, scale, cfg.normalization)
     _, u2 = fm.build_factor_matrices(
         fmap, np.empty((0, memory.d)), scale * queries.data.T
     )
-    return poly, fmap, b, state, u2
+    return poly, fmap, b, u1, u2
+
+
+def _query_numerators(
+    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
+):
+    """The fit and the QUERY-normalized numerators: (poly, fmap, B, N), N the
+    (d+1) x L product state @ U2.T of the kept [Xi; 1^T] @ U1 with the query
+    monomials, so its last row holds the column normalizers.  Each block of
+    ``_monomial_blocks`` writes its columns of N at once; U2 is never whole."""
+    poly, fmap, b = _fit(memory, queries, cfg)
+    scale = np.sqrt(cfg.beta)
+    state = _memory_state(memory, fmap, scale, cfg.normalization)
+    numer = np.empty((memory.d + 1, queries.count))
+    for block, u2 in _monomial_blocks(fmap, scale * queries.data.T):
+        np.matmul(state, u2.T, out=numer[:, block])
+    return poly, fmap, b, numer
 
 
 def lowrank_normalizers(
@@ -438,10 +488,10 @@ def lowrank_normalizers(
 ) -> np.ndarray:
     """Approximated normalizer vector (row sums for MEMORY, column sums for
     QUERY) from the same factored form retrieval uses."""
-    _, _, _, state, u2 = _lowrank_sides(memory, queries, cfg)
     if cfg.normalization is Normalization.MEMORY:
-        return fm.factored_row_sums(state, u2)
-    return state[-1] @ u2.T  # the 1^T U1 row of the QUERY state
+        _, _, _, u1, u2 = _lowrank_sides(memory, queries, cfg)
+        return fm.factored_row_sums(u1, u2)
+    return _query_numerators(memory, queries, cfg)[3][-1]
 
 
 def dense_normalizers(
@@ -461,19 +511,20 @@ def retrieve_lowrank(
 
     The memory side costs O(M r) monomials once per memory matrix (see
     ``_memory_state``).  Each call then costs O(L r d) for QUERY, whatever M
-    is; MEMORY also pays O(M r d) per call, because its row sums need every
-    query.
+    is, and holds one block of ``FACTOR_BLOCK_ELEMENTS`` query monomials at a
+    time instead of the L x r factor U2; MEMORY also pays O(M r d) per call,
+    because its row sums need every query, and holds U2 whole.
 
     Guarantees max-norm error <= 2 M B delta_a against retrieve_dense with the
     matching normalization convention.
     """
     start = time.perf_counter()
-    poly, fmap, b, state, u2 = _lowrank_sides(memory, queries, cfg)
     by_rows = cfg.normalization is Normalization.MEMORY
     if by_rows:
-        norm = fm.factored_row_sums(state, u2)
+        poly, fmap, b, u1, u2 = _lowrank_sides(memory, queries, cfg)
+        norm = fm.factored_row_sums(u1, u2)
     else:
-        numer = state @ u2.T
+        poly, fmap, b, numer = _query_numerators(memory, queries, cfg)
         norm = numer[-1]
     if np.any(norm <= 0):
         raise NonPositiveNormalizer(
@@ -481,7 +532,7 @@ def retrieve_lowrank(
             "has a non-positive entry"
         )
     if by_rows:
-        z = ((memory.data / norm) @ state) @ u2.T
+        z = ((memory.data / norm) @ u1) @ u2.T
     else:
         z = numer[:-1] / norm
     return RetrievalResult(

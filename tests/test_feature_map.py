@@ -204,6 +204,22 @@ def test_factor_matrices_empty_rows():
     assert u2.shape == (2, fmap.rank)
 
 
+def test_monomials_fill_the_leading_columns_of_out():
+    fmap = build_feature_map(poly_from_coeffs([1.0] * 5), 3)
+    rng = np.random.default_rng(4)
+    rows = rng.uniform(-1, 1, (5, 3))
+    buf = np.full((fmap.rank, 8), np.nan)
+    out = fmap.monomials(rows, buf)
+    assert np.shares_memory(out, buf) and np.array_equal(out, fmap.monomials(rows))
+    assert np.isnan(buf[:, 5:]).all()
+    _, u2 = build_factor_matrices(fmap, np.empty((0, 3)), rows[:2], buf)
+    assert np.shares_memory(u2, buf) and np.array_equal(u2, out[:2])
+    with pytest.raises(DimensionMismatch):
+        fmap.monomials(rng.uniform(-1, 1, (9, 3)), buf)
+    with pytest.raises(ValueError):
+        build_factor_matrices(fmap, rows, rows, buf)
+
+
 def test_factor_matrices_dimension_mismatch():
     fmap = build_feature_map(poly_from_coeffs([1.0, 1.0]), 3)
     with pytest.raises(DimensionMismatch):

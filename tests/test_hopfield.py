@@ -664,15 +664,26 @@ def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
 
 
 def _count_memory_rows(monkeypatch):
-    """Record the memory-side row count of every factor build."""
-    rows = []
-    build = fm.build_factor_matrices
+    """Record the row count of every factor build made for the memory side,
+    that is inside ``_memory_state``: MEMORY builds U1 from x_rows, while
+    QUERY's blocks are pure monomials built from y_rows."""
+    rows, inside = [], []
+    build, memory_state = fm.build_factor_matrices, hopfield._memory_state
 
-    def counting(fmap, x_rows, y_rows):
-        rows.append(len(x_rows))
-        return build(fmap, x_rows, y_rows)
+    def counting(fmap, x_rows, y_rows, out=None):
+        if inside:
+            rows.append(len(x_rows) + len(y_rows))
+        return build(fmap, x_rows, y_rows, out)
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return memory_state(*args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(fm, "build_factor_matrices", counting)
+    monkeypatch.setattr(hopfield, "_memory_state", tracked)
     return rows
 
 
@@ -720,6 +731,62 @@ def test_lowrank_memory_side_is_rebuilt_on_change(monkeypatch, change):
         assert out.degree_used > first.degree_used
     fresh = retrieve_lowrank(PatternMatrix(mem.data), q, cfg).Z
     assert max_norm_error(out.Z, fresh) <= 1e-12
+
+
+@pytest.mark.parametrize("rows_per_block", [3, 1])
+def test_query_blocks_match_unblocked_factors(monkeypatch, rows_per_block):
+    # 50 memories and 23 queries end in a partial block of 2 rows at 3 rows
+    # a block; a budget below the rank still gives 1-row blocks
+    rng = np.random.default_rng(35)
+    mem = random_patterns(rng, 4, 50)
+    q = random_patterns(rng, 4, 23, b=0.5, role="query")
+    cfg = RetrievalConfig(beta=0.5)
+    poly, fmap, _ = hopfield._fit(mem, q, cfg)
+    budget = 3 * fmap.rank + 1 if rows_per_block == 3 else fmap.rank - 1
+    monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", budget)
+    rows = _count_memory_rows(monkeypatch)
+    out = retrieve_lowrank(mem, q, cfg)
+    assert rows == [rows_per_block] * (50 // rows_per_block) + [2] * (rows_per_block == 3)
+
+    scale = math.sqrt(cfg.beta)
+    u1, u2 = build_factor_matrices(fmap, scale * mem.data.T, scale * q.data.T)
+    state = np.vstack([mem.data, np.ones(50)]) @ u1
+    numer = state @ u2.T
+    # only the summation order differs.  Z is a convex combination of
+    # memories, so its rounding scales with their entry bound B: these
+    # near-uniform weights average Z down to a few tenths of B
+    eps = np.finfo(float).eps
+    assert max_norm_error(out.Z, numer[:-1] / numer[-1]) <= 8 * eps * mem.max_norm
+    kept = mem.__dict__["_lowrank_state"][3]
+    assert max_norm_error(kept, state) <= 8 * eps * np.max(np.abs(state))
+    norms = lowrank_normalizers(mem, q, cfg)
+    assert np.max(np.abs(norms / numer[-1] - 1.0)) <= 8 * eps
+
+    warm = retrieve_lowrank(mem, q, cfg).Z
+    assert np.array_equal(warm, out.Z)
+    assert sum(rows) == mem.count  # every memory row was built exactly once
+
+
+def test_query_retrieval_holds_one_block(monkeypatch):
+    # d = 8 at degree 8: rank C(16, 8) = 12,870, so U2 of 2,048 queries would
+    # take 2,048 * 12,870 * 8 B = 210 MB; one block takes 67 MB
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rng = np.random.default_rng(36)
+    mem = random_patterns(rng, 8, 2048)
+    q = random_patterns(rng, 8, 2048, role="query")
+    cfg = RetrievalConfig(beta=0.3)
+    _, fmap, _ = hopfield._fit(mem, q, cfg)
+    assert fmap.rank == 12870
+    rows = hopfield.FACTOR_BLOCK_ELEMENTS // fmap.rank
+    block_bytes = 8 * fmap.rank * rows
+    tracemalloc.start()
+    try:
+        retrieve_lowrank(mem, q, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows < 2048
+    assert peak <= 1.25 * block_bytes < 0.5 * 8 * fmap.rank * 2048
 
 
 def test_memory_owns_a_read_only_copy():
