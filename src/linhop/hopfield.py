@@ -59,8 +59,8 @@ DENSE_CHUNK_ELEMENTS = 2**20
 
 # element budget (rank x rows) for one block of QUERY monomials: 2^23
 # doubles, 64 MiB.  Every shape up to that size stays in one block, such as
-# 16,384 rows at rank 126, where 2-8 blocks made the monomials slower.  At
-# rank 203,490 (d = 8, degree 13) it gives 41-row blocks: a cold 256 x 256
+# 16,384 rows at rank 126, where 4-8 blocks made a warm call 15-20% slower.
+# At rank 203,490 (d = 8, degree 13) it gives 41-row blocks: a cold 256 x 256
 # retrieval there took 0.55-0.61 s with blocks of 10-82 rows, 0.75 s with 329
 # rows and 3.0 s with 1-row blocks, whose numpy inner loops are one row long
 # (2-vCPU Xeon).

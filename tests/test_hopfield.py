@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -735,13 +736,13 @@ def test_lowrank_memory_side_is_rebuilt_on_change(monkeypatch, change):
 
 @pytest.mark.parametrize("rows_per_block", [3, 1])
 def test_query_blocks_match_unblocked_factors(monkeypatch, rows_per_block):
-    # 50 memories and 23 queries end in a partial block of 2 rows at 3 rows
-    # a block; a budget below the rank still gives 1-row blocks
+    # at 3 rows a block, 50 memories and 23 queries each end in a partial
+    # block of 2 rows; a budget below the rank still gives 1-row blocks
     rng = np.random.default_rng(35)
     mem = random_patterns(rng, 4, 50)
     q = random_patterns(rng, 4, 23, b=0.5, role="query")
     cfg = RetrievalConfig(beta=0.5)
-    poly, fmap, _ = hopfield._fit(mem, q, cfg)
+    _, fmap, _ = hopfield._fit(mem, q, cfg)
     budget = 3 * fmap.rank + 1 if rows_per_block == 3 else fmap.rank - 1
     monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", budget)
     rows = _count_memory_rows(monkeypatch)
@@ -767,10 +768,9 @@ def test_query_blocks_match_unblocked_factors(monkeypatch, rows_per_block):
     assert sum(rows) == mem.count  # every memory row was built exactly once
 
 
-def test_query_retrieval_holds_one_block(monkeypatch):
+def test_query_retrieval_holds_one_block():
     # d = 8 at degree 8: rank C(16, 8) = 12,870, so U2 of 2,048 queries would
     # take 2,048 * 12,870 * 8 B = 210 MB; one block takes 67 MB
-    tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(36)
     mem = random_patterns(rng, 8, 2048)
     q = random_patterns(rng, 8, 2048, role="query")
