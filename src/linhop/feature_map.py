@@ -13,7 +13,8 @@ monomial is built from its parent by a single multiplication, so factor
 matrices cost O(rows * rank) multiplications.  The work is rank-major: a
 C-ordered rank x n buffer holds one monomial per row.  The n x rank arrays
 handed back are transposed views of that buffer (Fortran order); callers must
-not assume C-contiguity.
+not assume C-contiguity.  A caller that walks its rows in blocks can pass one
+buffer (``out``) for every block, so no block allocates.
 
 The parent of an alpha of degree t+1 drops one unit from its first nonzero
 slot v.  Within a level in lexicographic order, the indices that are zero
