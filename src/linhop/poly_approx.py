@@ -3,13 +3,19 @@
 The fit targets ``|P(x) - e^x| <= delta * e^x`` on a symmetric interval
 ``[-b, b]``.  Construction is Chebyshev interpolation converted to the power
 basis; the degree is found by incrementing from 1 and accepting the first
-degree whose validation-grid relative error meets the target.  The power basis
-is required downstream: the monomial feature map reads the coefficients
-directly.  ``_cheb_to_power`` converts with the Clenshaw recurrence that
-``Chebyshev.convert(kind=Polynomial)`` runs, on plain float arrays instead of
-``Polynomial`` objects: the coefficients are the same bit for bit, at about a
-tenth of the cost, which matters because most fits the drivers ask for fail
-after trying every degree.
+degree whose certified relative error meets the target.  The certificate is
+the maximum over a validation grid of the measured ``|P(x) e^{-x} - 1|`` plus
+Horner's a-priori rounding term ``gamma_{2n+2} sum_k |c_k| |x|^k e^{-x}``,
+which grows like eps e^{2b} at the left end.  That term sets a floor: past
+``2b = ln(4 delta / gamma_4)`` (b about 14.9 at delta = 1e-3) no degree can be
+certified, and ``fit_exp_poly`` refuses such intervals without fitting.
+
+The power basis is required downstream: the monomial feature map reads the
+coefficients directly.  ``_cheb_to_power`` converts with the Clenshaw
+recurrence that ``Chebyshev.convert(kind=Polynomial)`` runs, on plain float
+arrays instead of ``Polynomial`` objects: the coefficients are the same bit
+for bit, at about a tenth of the cost, which matters because a fit that fails
+below the floor tries every degree.
 """
 
 from __future__ import annotations
@@ -80,12 +86,24 @@ class ExpPolynomial:
         )
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the float64 unit roundoff."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
 def _rel_error_on(coeffs: np.ndarray, x: np.ndarray) -> float:
+    """The certified relative error of the power-basis ``coeffs`` on the
+    points ``x``: the max of the measured ``|P(x) e^{-x} - 1|`` plus Horner's
+    a-priori rounding term ``gamma_{2n+2} sum_k |c_k| |x|^k e^{-x}`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 5.1; n the degree, the
+    two extra roundings for the product with e^{-x} and the subtraction)."""
     # |P(x) - e^x| / e^x computed as |P(x) e^{-x} - 1|: stable when e^x
     # overflows (e^{-x} underflows to 0 and the ratio saturates at 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p = polynomial.polyval(x, coeffs)
-        err = np.abs(p * np.exp(-x) - 1.0)
+        scale = np.exp(-x)
+        err = np.abs(polynomial.polyval(x, coeffs) * scale - 1.0)
+        err += _gamma(2 * len(coeffs)) * polynomial.polyval(np.abs(x), np.abs(coeffs)) * scale
     err = np.where(np.isnan(err), np.inf, err)
     return float(np.max(err))
 
@@ -114,25 +132,56 @@ def _cheb_to_power(cheb: chebyshev.Chebyshev) -> np.ndarray:
     return _padded_add(c0, np.convolve(c1, x))
 
 
+def _rounding_floor(delta_a: float) -> float:
+    """The half width past which no polynomial's certificate can reach
+    ``delta_a``: the b with ``2b = ln(4 delta_a / gamma_4)``."""
+    return 0.5 * math.log(4.0 * delta_a / _gamma(4))
+
+
 def fit_exp_poly(
     interval_bound: float,
     delta_a: float,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> ExpPolynomial:
     """Fit the smallest-degree power-basis approximation of exp on
-    ``[-interval_bound, interval_bound]`` with grid relative error <= delta_a.
+    ``[-b, b]``, b = ``interval_bound``, whose certified relative error is
+    at most delta_a.
+
+    The certificate is the maximum over a uniform grid of 4,096 points of
+    the measured ``|P(x) e^{-x} - 1|`` plus the Horner rounding term
+    ``gamma_{2n+2} sum_k |c_k| |x|^k e^{-x}`` (n the degree), so it also
+    covers rounding in evaluating P, which grows like eps e^{2b} at the left
+    end of the interval.
 
     Raises DegreeExhausted when no degree up to ``max_degree`` meets the
     target; this signals an infeasible (bound, delta) combination at desk
-    scale.
+    scale.  Past the rounding floor, ``2b > ln(4 delta_a / gamma_4)`` (about
+    b = 14.9 at delta_a = 1e-3), it raises that same error without fitting,
+    because no degree can pass there:
+
+    *Lemma.*  Both ends of the interval are grid points (``linspace``).  A
+    polynomial that passes at x = b has P(b) >= (1 - delta_a) e^b, so
+    ``sum_k |c_k| b^k >= (1 - delta_a) e^b``, up to the rounding of the
+    measurement itself.  Its rounding term at x = -b is then at least
+    ``gamma_4 (1 - delta_a) e^{2b}`` (n >= 1), which past the floor exceeds
+    ``4 delta_a (1 - delta_a) > 3.6 delta_a`` for every degree, so the
+    certificate fails at x = -b by a margin far wider than that rounding.
     """
-    if not interval_bound > 0:
-        raise InvalidBound(f"interval_bound must be positive, got {interval_bound}")
+    if not (interval_bound > 0 and math.isfinite(interval_bound)):
+        raise InvalidBound(
+            f"interval_bound must be positive and finite, got {interval_bound}"
+        )
     if not 0 < delta_a < 0.1:
         raise ValueError(f"delta_a must lie in (0, 0.1), got {delta_a}")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
 
+    exhausted = DegreeExhausted(
+        f"no degree <= {max_degree} reaches relative error {delta_a} "
+        f"on [-{interval_bound}, {interval_bound}]"
+    )
+    if interval_bound > _rounding_floor(delta_a):
+        raise exhausted
     # uniform, and linspace returns both endpoints exactly, so the
     # certificate covers the interval boundary
     grid = np.linspace(-interval_bound, interval_bound, GRID_POINTS)
@@ -154,10 +203,7 @@ def fit_exp_poly(
                     target_rel_error=float(delta_a),
                     certified_rel_error=err,
                 )
-    raise DegreeExhausted(
-        f"no degree <= {max_degree} reaches relative error {delta_a} "
-        f"on [-{interval_bound}, {interval_bound}]"
-    )
+    raise exhausted
 
 
 def eval_poly(p: ExpPolynomial, x):
@@ -168,7 +214,9 @@ def eval_poly(p: ExpPolynomial, x):
 
 
 def sup_relative_error(p: ExpPolynomial, grid_points: int) -> float:
-    """Max of |P(x) - e^x| / e^x over a uniform grid on the fit interval."""
+    """The certified relative error of ``p`` over a uniform grid of
+    ``grid_points`` on its fit interval: the max of the measured
+    |P(x) - e^x| / e^x plus the Horner rounding term of ``fit_exp_poly``."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     x = np.linspace(-p.interval_bound, p.interval_bound, grid_points)

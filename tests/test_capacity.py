@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
-from linhop import capacity
+from linhop import capacity, hopfield, poly_approx
 from linhop.capacity import (
     CAPACITY_COLUMNS,
     CapacityParams,
@@ -219,6 +220,29 @@ def test_experiment_makes_one_retrieval_per_M(monkeypatch, d, m, beta, fallback)
     # the low-rank attempt and, where it is infeasible, one dense call
     assert calls["retrieve_lowrank"] == [25, 25, 25]
     assert calls["retrieve_dense"] == ([25, 25, 25] if fallback else [])
+
+
+def test_experiment_refuses_infeasible_fits_without_fitting(monkeypatch):
+    # a drivers shape: every trial's score interval is past the rounding
+    # floor, so each fit is refused before any interpolation
+    interpolations = []
+    inner = Chebyshev.interpolate.__func__
+
+    def counted(cls, *args, **kwargs):
+        interpolations.append(args[1])
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Chebyshev, "interpolate", classmethod(counted))
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    args = (8, math.sqrt(8), 1.0, [2, 4])
+    rows = run_capacity_experiment(*args, trials=4, rng_seed=0)
+    assert interpolations == []
+    assert [r["solver"] for r in rows] == ["dense-fallback"] * 2
+    # the same rows when every fit runs the degree loop to exhaustion
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    monkeypatch.setattr(poly_approx, "_rounding_floor", lambda delta_a: math.inf)
+    assert run_capacity_experiment(*args, trials=4, rng_seed=0) == rows
+    assert len(interpolations) > 0
 
 
 def test_experiment_fallback_matches_per_trial_dense_loop():

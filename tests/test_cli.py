@@ -52,6 +52,13 @@ def test_approx_exp_infeasible_exits_1(tmp_path, capsys):
     assert "DegreeExhausted" in err
 
 
+def test_approx_exp_infinite_bound_exits_1(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert main(["approx-exp", "--bound", "inf", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("InvalidBound: interval_bound")
+
+
 def test_retrieve_dense_and_lowrank_agree(tmp_path, capsys):
     m_path, q_path = write_patterns(tmp_path)
     z_dense = tmp_path / "zd.csv"

@@ -283,3 +283,27 @@ def test_exactness_sweep():
             target = p(u @ v.T)
             scale = 1.0 + np.abs(target)
             assert np.max(np.abs(u1 @ u2.T - target) / scale) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "delta_a, bound, degree, rank",
+    [
+        (1e-3, 1e-6 * 1.25**73, 29, 40920),
+        # the largest snapped interval that is feasible at delta_a = 1e-6
+        (1e-6, 1e-6 * 1.25**71, 23, 17550),
+    ],
+)
+def test_certificate_covers_the_factored_form(delta_a, bound, degree, rank):
+    d = 4
+    p = fit_exp_poly(bound, delta_a)
+    fmap = build_feature_map(p, d)
+    assert (p.degree, fmap.rank) == (degree, rank)
+    # every sign vector scaled to norm sqrt(b): scores reach -b and b
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    rows = math.sqrt(bound / d) * signs
+    u1, u2 = build_factor_matrices(fmap, rows, rows)
+    exact = rows.astype(np.longdouble)
+    scores = exact @ exact.T
+    assert np.max(np.abs(scores)) == pytest.approx(bound)
+    rel = np.abs((u1 @ u2.T).astype(np.longdouble) * np.exp(-scores) - 1)
+    assert np.max(rel) <= p.certified_rel_error

@@ -45,9 +45,11 @@ def test_fit_degree_within_reference_bound():
     assert p.degree <= 4 * g_ref
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_rejects_bad_inputs():
-    with pytest.raises(InvalidBound):
-        fit_exp_poly(0.0, 1e-3)
+    for bound in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidBound):
+            fit_exp_poly(bound, 1e-3)
     with pytest.raises(ValueError):
         fit_exp_poly(1.0, 0.5)
     with pytest.raises(ValueError):
@@ -194,3 +196,58 @@ def test_fit_matches_convert_route(delta_a):
             continue
         p = fit_exp_poly(bound, delta_a)
         assert (p.degree, p.coeffs, p.certified_rel_error) == expected
+
+
+def _counting_interpolate(monkeypatch):
+    """Count ``Chebyshev.interpolate`` calls, the first step of every fit."""
+    calls = []
+    inner = Chebyshev.interpolate.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[1])
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Chebyshev, "interpolate", classmethod(counted))
+    return calls
+
+
+def _fit_outcome(bound, delta_a, max_degree):
+    try:
+        p = fit_exp_poly(bound, delta_a, max_degree)
+    except DegreeExhausted as exc:
+        return str(exc)
+    return p.degree, p.coeffs, p.certified_rel_error
+
+
+@pytest.mark.parametrize("delta_a", [1e-2, 1e-3, 1e-6, 0.099])
+def test_floor_refusal_equals_the_degree_loop(monkeypatch, delta_a):
+    floor = poly_approx._rounding_floor(delta_a)
+    below, past = np.nextafter(floor, 0.0), np.nextafter(floor, np.inf)
+    band = [floor - 3, floor - 2, floor - 1, below, past, floor + 0.5, floor + 2]
+    calls = _counting_interpolate(monkeypatch)
+    refused = []
+    for bound in band:
+        calls.clear()
+        refused.append((_fit_outcome(bound, delta_a, 80), len(calls)))
+    assert refused[4][1] == 0 and refused[3][1] > 0
+    assert all(n == 0 for _, n in refused[4:])
+    assert all(isinstance(outcome, str) for outcome, _ in refused[4:])
+    monkeypatch.setattr(poly_approx, "_rounding_floor", lambda delta_a: math.inf)
+    looped = [_fit_outcome(bound, delta_a, 80) for bound in band]
+    assert [outcome for outcome, _ in refused] == looped
+
+
+@pytest.mark.parametrize(
+    "bound, delta_a, measured_degree",
+    [(1e-6 * 1.25**73, 1e-4, 30), (1e-6 * 1.25**72, 1e-6, 28), (1e-6 * 1.25**73, 1e-6, 32)],
+)
+def test_rounding_term_refuses_fits_the_measured_error_passes(bound, delta_a, measured_degree):
+    # the measured grid error alone passes at this degree; the Horner
+    # rounding term at x = -b does not, at any degree up to 32
+    cheb = Chebyshev.interpolate(np.exp, measured_degree, domain=[-bound, bound])
+    coeffs = poly_approx._cheb_to_power(cheb)
+    grid = np.linspace(-bound, bound, poly_approx.GRID_POINTS)
+    measured = np.abs(Polynomial(coeffs)(grid) * np.exp(-grid) - 1.0)
+    assert np.max(measured) <= delta_a < poly_approx._rel_error_on(coeffs, grid)
+    with pytest.raises(DegreeExhausted):
+        fit_exp_poly(bound, delta_a)
