@@ -229,9 +229,9 @@ def test_floor_refusal_equals_the_degree_loop(monkeypatch, delta_a):
     for bound in band:
         calls.clear()
         refused.append((_fit_outcome(bound, delta_a, 80), len(calls)))
-    assert refused[4][1] == 0 and refused[3][1] > 0
-    assert all(n == 0 for _, n in refused[4:])
-    assert all(isinstance(outcome, str) for outcome, _ in refused[4:])
+    # just below the floor the loop runs; from just past it nothing is fitted
+    assert refused[3][1] > 0
+    assert all(isinstance(outcome, str) and n == 0 for outcome, n in refused[4:])
     monkeypatch.setattr(poly_approx, "_rounding_floor", lambda delta_a: math.inf)
     looped = [_fit_outcome(bound, delta_a, 80) for bound in band]
     assert [outcome for outcome, _ in refused] == looped
