@@ -117,7 +117,7 @@ class PatternMatrix:
     def max_norm(self) -> float:
         value = self.__dict__.get("_max_norm")
         if value is None:
-            value = float(np.max(np.abs(self.data))) if self.data.size else 0.0
+            value = float(abs(self.data).max()) if self.data.size else 0.0
             if self.role == "memory":
                 self.__dict__["_max_norm"] = value
         return value
@@ -181,14 +181,26 @@ class PatternMatrix:
         return cls(_require_finite(data, path), role=role, allow_empty=True)
 
 
-def _frozen_copy(data: np.ndarray) -> np.ndarray:
-    """A read-only copy that no caller can write through, so values derived
-    from it can be kept in the owner's ``__dict__``.  It starts on a 64-byte
-    boundary: at the 16-, 32- and 48-byte offsets malloc may return, the
-    dense path's matmuls over a 4 x 4096 memory ran 4-8% slower (Xeon)."""
-    buf = np.empty(data.size + 8)
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialized float array that starts on a 64-byte boundary.  At
+    the 16-, 32- and 48-byte offsets malloc may return, the dense path's
+    matmuls over a 4 x 4096 memory ran 4-8% slower, and the prefix loop over
+    a 126 x 16,384 QUERY block 1.6 -> 2.2-2.5 ms (Xeon); which offset a
+    buffer gets depends on the process's allocation history.  Below 4 KiB
+    the 2 us it takes to read an array's address costs more than it saves."""
+    size = math.prod(shape)
+    if size < 512:
+        return np.empty(shape)
+    buf = np.empty(size + 8)
     start = (-buf.ctypes.data % 64) // 8
-    copy = buf[start : start + data.size].reshape(data.shape)
+    return buf[start : start + size].reshape(shape)
+
+
+def _frozen_copy(data: np.ndarray) -> np.ndarray:
+    """A read-only copy in an ``_aligned_empty`` array that no caller can
+    write through, so values derived from it can be kept in the owner's
+    ``__dict__``."""
+    copy = _aligned_empty(data.shape)
     copy[...] = data
     copy.flags.writeable = False
     return copy
@@ -407,11 +419,12 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
 def _monomial_blocks(fmap, rows: np.ndarray):
     """Yield (block, U) over consecutive blocks of ``rows`` (n x d), U the
     block's monomials (no coefficient weights) as a transposed view of one
-    rank-major buffer: at most ``FACTOR_BLOCK_ELEMENTS`` entries, and
-    overwritten by the next block.  Each block goes through
-    ``build_factor_matrices`` as its pure-monomial side."""
+    rank-major buffer on a 64-byte boundary: at most
+    ``FACTOR_BLOCK_ELEMENTS`` entries, and overwritten by the next block.
+    Each block goes through ``build_factor_matrices`` as its pure-monomial
+    side."""
     step = max(1, FACTOR_BLOCK_ELEMENTS // fmap.rank)
-    buf = np.empty((fmap.rank, min(step, rows.shape[0])))
+    buf = _aligned_empty((fmap.rank, min(step, rows.shape[0])))
     empty = np.empty((0, fmap.d))
     for lo in range(0, rows.shape[0], step):
         block = slice(lo, min(lo + step, rows.shape[0]))
@@ -616,7 +629,12 @@ def fixed_point_iterate(
     stored index reached within eps (2-norm), if any.
 
     The dynamics always uses the query-softmax convention; cfg.solver picks
-    the dense or low-rank evaluation path.
+    the dense or low-rank evaluation path.  Each step's energy is the exact
+    dense ``energy``, and its convergence check measures the distance to
+    every stored pattern: both cost O(Md) on either solver, so a low-rank
+    step is not O(rd).  The low-rank normalizer would give the lse in O(rd),
+    but off by up to log(1 + delta_a) / beta; the exact energy keeps the
+    recorded energies independent of the solver's approximation.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != memory.d:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from linhop import feature_map as fm
 from linhop.errors import DimensionMismatch, SizeOverflow
 from linhop.feature_map import (
     DEFAULT_RANK_CAP,
@@ -150,6 +151,35 @@ def test_monomials_match_brute_force(order):
             brute = np.prod(rows[:, None, :] ** fmap.exponents[None], axis=2)
             assert out.shape == (n, fmap.rank)
             assert np.array_equal(out, brute)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d, g", [(1, 5), (4, 0), (4, 5), (8, 5), (4, 13)])
+def test_gather_and_prefix_forms_agree_bit_for_bit(monkeypatch, d, g, order):
+    fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
+    # the most rows a block built by gathers holds at the default constant
+    cross = fm.GATHER_BLOCK_ELEMENTS // fmap.rank
+    # the default builds the first block past the crossover by the prefix
+    # loop and the first block at it by gathers, which keeps their plan
+    fmap.monomials(np.ones((cross + 1, d)))
+    assert "_gather" not in fmap.__dict__
+    fmap.monomials(np.ones((cross, d)))
+    assert "_gather" in fmap.__dict__
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 2, cross - 1, cross, cross + 1):
+        rows = np.asarray(rng.uniform(-1.5, 1.5, (n, d)), order=order)
+        default = fmap.monomials(rows)
+        buf = np.full((fmap.rank, n + 3), np.nan)
+        forms = []
+        for limit in (0, 2**62):  # the prefix loop, then gathers at any size
+            monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", limit)
+            forms.append(fmap.monomials(rows, buf).copy())
+            assert np.isnan(buf[:, n:]).all()
+            assert np.array_equal(fmap.monomials(rows), forms[-1])
+        monkeypatch.undo()
+        assert forms[0].shape == (n, fmap.rank)
+        assert np.array_equal(forms[0], forms[1])
+        assert np.array_equal(forms[0], default)
 
 
 def test_identity_polynomial_map():

@@ -704,6 +704,46 @@ def test_lowrank_memory_side_is_built_once(monkeypatch, normalization):
     assert max_norm_error(warm, fresh) <= 1e-12
 
 
+def test_one_column_query_builds_its_monomials_by_gathers(monkeypatch):
+    rng = np.random.default_rng(41)
+    mem = random_patterns(rng, 4, 300)
+    batch = random_patterns(rng, 4, 256, b=0.5, role="query")
+    col = PatternMatrix(batch.data[:, 7:8], role="query")
+    cfg = RetrievalConfig(beta=0.25)
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})  # a new map, with no plan
+    plans, gather_plan = [], fm._gather_plan
+    monkeypatch.setattr(
+        fm, "_gather_plan", lambda *args: plans.append(args) or gather_plan(*args)
+    )
+    rows = _count_memory_rows(monkeypatch)
+    first = retrieve_lowrank(mem, col, cfg)
+    # one column is built by gathers, the batch by the prefix loop
+    assert first.rank_used <= fm.GATHER_BLOCK_ELEMENTS < first.rank_used * batch.count
+    assert sum(rows) == mem.count and len(plans) == 1
+    again = retrieve_lowrank(mem, col, cfg)
+    assert len(plans) == 1  # the plan is kept on the map
+    assert sum(rows) == mem.count
+    assert np.array_equal(again.Z, first.Z)
+    whole = retrieve_lowrank(mem, batch, cfg)
+    b = max(mem.max_norm, batch.max_norm)
+    assert max_norm_error(first.Z[:, 0], whole.Z[:, 7]) <= 8 * np.finfo(float).eps * b
+    monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", 0)  # forces the prefix loop
+    assert np.array_equal(retrieve_lowrank(mem, col, cfg).Z, first.Z)
+    assert sum(rows) == mem.count
+
+
+def test_query_blocks_start_on_a_64_byte_boundary(monkeypatch):
+    # the prefix loop's speed over a large block depends on its offset, and
+    # malloc's offset on the process's allocation history
+    fmap = fm.build_feature_map(poly_approx.fit_exp_poly(1.0, 1e-3), 4)
+    monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", fmap.rank * 200)
+    rows = np.random.default_rng(43).uniform(-1, 1, (450, 4))
+    for _ in range(4):  # different allocation histories
+        blocks = list(hopfield._monomial_blocks(fmap, rows))
+        assert [b.stop - b.start for b, _ in blocks] == [200, 200, 50]
+        assert all(u.ctypes.data % 64 == 0 for _, u in blocks)
+
+
 @pytest.mark.parametrize(
     "change", ["beta", "normalization", "delta_a", "query_norm", "fit_cache_clear"]
 )
