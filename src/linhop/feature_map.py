@@ -10,10 +10,11 @@ multinomial expansion of ``P(<u, v>)``, giving the exact factorization
 
 with rank C(d+g, g).  Indices are kept in graded-lexicographic order and each
 monomial is built from its parent by a single multiplication, so factor
-matrices cost O(rows * rank) multiplications.  The work is rank-major: a
-C-ordered rank x n buffer holds one monomial per row.  The n x rank arrays
-handed back are transposed views of that buffer (Fortran order); callers must
-not assume C-contiguity.  A caller that walks its rows in blocks can pass one
+matrices cost O(rows * rank) multiplications.  The work is written into a
+rank x n buffer in one of two orders (``monomial_buffer``), and the n x rank
+arrays handed back are transposed views of it: Fortran-ordered when the
+buffer holds one monomial per row, C-ordered when it is row-major; callers
+must assume neither.  A caller that walks its rows in blocks can pass one
 buffer (``out``) for every block, so no block allocates.
 
 The parent of an alpha of degree t+1 drops one unit from its first nonzero
@@ -23,7 +24,40 @@ their order.  So level t+1 is the concatenation, for v = d-1 down to 0, of
 that prefix of level t times variable v: one in-place multiplication of
 contiguous rows per run, with no gather and no sort.  The multinomials follow
 m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1) in exact integers before one
-conversion to float.
+conversion to float: int64 up to degree 19, Python ints above.  At rank
+203,490 the int64 count took the build from 20 to 6-8 ms (best of 3 calls).
+
+In a buffer with one monomial per row, each multiplication of that loop runs
+numpy inner loops as long as the block has rows.  The query blocks of a
+high-rank map have few rows (20 at rank 203,490), so there the loop pays per
+inner loop, not per entry.  A block whose rank exceeds ``ROW_MAJOR_RATIO``
+times its rows is therefore laid out row-major, the transpose of a rows x
+rank C array, and each multiplication runs along a run of a level instead.
+The products and operands are the same, and so are the bits.  Median
+milliseconds per block of the prefix loop on a 2-vCPU Xeon, out buffer
+reused, two runs:
+
+    d   g     rank   rows   rank / rows   one per row   row-major   order picked
+    8   5    1,287    256             5     0.30-0.35   0.74-0.87   one per row
+    8   8   12,870    325            40     6.57-8.29   7.80-9.33   one per row
+    8   8   12,870      8         1,609     0.20-0.31   0.24-0.37   one per row
+    8   8   12,870      4         3,218     0.26-0.30   0.26-0.29   row-major
+    4  20   10,626      8         1,328     0.20-0.21   0.25-0.26   one per row
+    8   9   24,310     16         1,519     0.45-0.47   0.49-0.52   one per row
+    8   9   24,310      8         3,039     0.31-0.34   0.31-0.33   row-major
+    8  10   43,758     95           461     7.08-7.25   5.95-6.21   one per row
+    8  10   43,758     32         1,367     1.50-1.75   1.61-1.88   one per row
+    8  10   43,758      8         5,470     0.52-0.56   0.44-0.47   row-major
+    8  11   75,582     55         1,374     7.95-13.0   5.87-6.75   one per row
+    8  11   75,582     32         2,362     2.62-3.62   2.40-3.29   row-major
+    8  13  203,490     41         4,963     17.9-24.1   11.2-13.0   row-major
+    8  13  203,490     20        10,174     7.57-7.68   5.04-5.42   row-major
+
+No single ratio separates the two orders: row-major also won on the largest
+blocks at 461 and 1,374, but lost up to 1.26x on small blocks near 1,500.
+2,048 is the power of two above which it lost on no block measured.  Blocks
+built by gathers keep one monomial per row, where row-major ran 2.7-5.7x
+slower.
 
 That prefix loop makes g d numpy calls whatever n is, and at a few rows each
 call costs its overhead, not its arithmetic.  So a small block, rank x n at
@@ -65,8 +99,36 @@ from .poly_approx import ExpPolynomial
 DEFAULT_RANK_CAP = 10**6
 
 # the largest block (rank x rows) built by gathers rather than by the prefix
-# loop; measured in the module docstring
+# loop, and the rank / rows above which a larger block is laid out row-major;
+# both measured in the module docstring
 GATHER_BLOCK_ELEMENTS = 2**14
+ROW_MAJOR_RATIO = 2048
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialized float array that starts on a 64-byte boundary.  At
+    the 16-, 32- and 48-byte offsets malloc may return, the dense path's
+    matmuls over a 4 x 4096 memory ran 4-8% slower, and the prefix loop over
+    a 126 x 16,384 QUERY block 1.6 -> 2.2-2.5 ms (Xeon); which offset a
+    buffer gets depends on the process's allocation history.  Below 4 KiB
+    the 2 us it takes to read an array's address costs more than it saves."""
+    size = math.prod(shape)
+    if size < 512:
+        return np.empty(shape)
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + size].reshape(shape)
+
+
+def monomial_buffer(rank: int, rows: int) -> np.ndarray:
+    """An uninitialized rank x rows ``out`` for ``MonomialFeatureMap.monomials``
+    on a 64-byte boundary.  A block the prefix loop builds whose rank exceeds
+    ``ROW_MAJOR_RATIO`` times its rows is the transpose of a rows x rank C
+    array, so each multiply runs along a run of a level rather than along
+    the few rows; any other block is a C array, one monomial per row."""
+    if rank > ROW_MAJOR_RATIO * rows and rank * rows > GATHER_BLOCK_ELEMENTS:
+        return _aligned_empty((rows, rank)).T
+    return _aligned_empty((rank, rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +150,12 @@ class MonomialFeatureMap:
     def monomials(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate all monomials at each row of ``rows`` (shape n x d).
 
-        Returns an n x rank transposed view of a rank x n buffer (Fortran
-        order): a new one, or the first n columns of ``out``, a rank x m
-        float array with m >= n and contiguous rows, so that a caller walking
-        rows in blocks reuses one buffer.  A block of at most
+        Returns the transpose of the first n columns of ``out``, or of a new
+        ``monomial_buffer``.  ``out`` is a rank x m float array with m >= n,
+        in one of two orders: rank-major, with contiguous rows (one monomial
+        per row, so the result is Fortran-ordered), or row-major, the
+        transpose of an m x rank C array (the result is C-ordered).  A
+        caller walking rows in blocks reuses one buffer.  A block of at most
         ``GATHER_BLOCK_ELEMENTS`` entries takes one multiplication per level,
         of gathered parents by gathered variables; a larger one takes one per
         run, of a contiguous slice of the level before it by one variable of
@@ -103,10 +167,17 @@ class MonomialFeatureMap:
                 f"expected shape (*, {self.d}), got {rows.shape}"
             )
         if out is None:
-            out = np.empty((self.rank, rows.shape[0]))
+            out = monomial_buffer(self.rank, rows.shape[0])
         elif out.shape[0] != self.rank or out.shape[1] < rows.shape[0]:
             raise DimensionMismatch(
                 f"out must be ({self.rank}, >= {rows.shape[0]}), got {out.shape}"
+            )
+        elif out.dtype != float or not (
+            out.strides[1] == out.itemsize or out.T.flags.c_contiguous
+        ):
+            raise ValueError(
+                "out must be a float array with contiguous rows or the "
+                "transpose of a C array"
             )
         else:
             out = out[:, : rows.shape[0]]
@@ -162,7 +233,10 @@ def build_feature_map(
     if rank > cap:
         raise SizeOverflow(f"rank C({d}+{g}, {g}) = {rank} exceeds cap {cap}")
     level = np.zeros((1, d), dtype=np.int64)
-    multinomials = np.ones(1, dtype=object)  # Python ints: exact at any degree
+    # every product m(alpha) (t+1) below is at most (g+1)!, so int64 counts
+    # exactly up to degree 19; Python ints are exact at any degree
+    count_type = np.int64 if math.factorial(g + 1) < 2**63 else object
+    multinomials = np.ones(1, dtype=count_type)
     exps, weights = [level], [p.coeffs[0] * multinomials.astype(float)]
     prefixes = []
     for t in range(g):
@@ -174,7 +248,7 @@ def build_feature_map(
             child[:, v] += 1
             runs.append(child)
             # m(alpha + e_v) = m(alpha) (t+1) / (alpha_v + 1), exact in integers
-            counts.append(multinomials[:n] * (t + 1) // child[:, v].astype(object))
+            counts.append(multinomials[:n] * (t + 1) // child[:, v].astype(count_type))
         level, multinomials = np.concatenate(runs), np.concatenate(counts)
         exps.append(level)
         weights.append(p.coeffs[t + 1] * multinomials.astype(float))

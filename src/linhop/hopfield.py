@@ -24,8 +24,10 @@ matrix, in O(M r) monomial work for rank r, and kept on it: for QUERY the
 (d+1) x r state [Xi; 1^T] @ U1, after which a call costs O(L r d) whatever M
 is; for MEMORY the M x r factor U1 itself.  QUERY never holds U1 or U2 whole:
 both sides walk their rows in blocks of ``FACTOR_BLOCK_ELEMENTS`` entries
-through one reused rank-major buffer and contract each block at once, so its
-working memory is one block instead of O((M + L) r).
+through one reused buffer and contract each block at once, so its working
+memory is one block instead of O((M + L) r).  The buffer's order follows the
+block's shape (``feature_map.monomial_buffer``): one monomial per buffer row,
+or, when the rank is thousands of times the block's rows, row-major.
 """
 
 from __future__ import annotations
@@ -57,14 +59,16 @@ from .errors import (
 # size keeps the dense path's cache behavior uniform across problem sizes
 DENSE_CHUNK_ELEMENTS = 2**20
 
-# element budget (rank x rows) for one block of QUERY monomials: 2^23
-# doubles, 64 MiB.  Every shape up to that size stays in one block, such as
-# 16,384 rows at rank 126, where 4-8 blocks made a warm call 15-20% slower.
-# At rank 203,490 (d = 8, degree 13) it gives 41-row blocks: a cold 256 x 256
-# retrieval there took 0.55-0.61 s with blocks of 10-82 rows, 0.75 s with 329
-# rows and 3.0 s with 1-row blocks, whose numpy inner loops are one row long
-# (2-vCPU Xeon).
-FACTOR_BLOCK_ELEMENTS = 2**23
+# element budget (rank x rows) for one block of QUERY monomials: 2^22
+# doubles, 32 MiB.  Common batch shapes stay in one block, such as 16,384
+# rows at rank 126, where 4-8 blocks made a warm call 15-20% slower.  At rank
+# 203,490 (d = 8, degree 13) it gives 20-row blocks, which
+# ``feature_map.monomial_buffer`` lays out row-major.  A cold 256 x 256
+# retrieval there took a median 247 ms with this budget, 268 ms with 2^23
+# (41-row blocks) and 287 ms with 2^21; in blocks of one monomial per row it
+# took 291 ms with 2^22 and 395 ms with 2^23 (2-vCPU Xeon, 7 alternating runs
+# in one process).  In that order one-row blocks took 3.0 s.
+FACTOR_BLOCK_ELEMENTS = 2**22
 
 
 class Normalization(enum.Enum):
@@ -181,26 +185,11 @@ class PatternMatrix:
         return cls(_require_finite(data, path), role=role, allow_empty=True)
 
 
-def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialized float array that starts on a 64-byte boundary.  At
-    the 16-, 32- and 48-byte offsets malloc may return, the dense path's
-    matmuls over a 4 x 4096 memory ran 4-8% slower, and the prefix loop over
-    a 126 x 16,384 QUERY block 1.6 -> 2.2-2.5 ms (Xeon); which offset a
-    buffer gets depends on the process's allocation history.  Below 4 KiB
-    the 2 us it takes to read an array's address costs more than it saves."""
-    size = math.prod(shape)
-    if size < 512:
-        return np.empty(shape)
-    buf = np.empty(size + 8)
-    start = (-buf.ctypes.data % 64) // 8
-    return buf[start : start + size].reshape(shape)
-
-
 def _frozen_copy(data: np.ndarray) -> np.ndarray:
-    """A read-only copy in an ``_aligned_empty`` array that no caller can
-    write through, so values derived from it can be kept in the owner's
+    """A read-only copy, on a 64-byte boundary, that no caller can write
+    through, so values derived from it can be kept in the owner's
     ``__dict__``."""
-    copy = _aligned_empty(data.shape)
+    copy = fm._aligned_empty(data.shape)
     copy[...] = data
     copy.flags.writeable = False
     return copy
@@ -419,12 +408,12 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
 def _monomial_blocks(fmap, rows: np.ndarray):
     """Yield (block, U) over consecutive blocks of ``rows`` (n x d), U the
     block's monomials (no coefficient weights) as a transposed view of one
-    rank-major buffer on a 64-byte boundary: at most
-    ``FACTOR_BLOCK_ELEMENTS`` entries, and overwritten by the next block.
-    Each block goes through ``build_factor_matrices`` as its pure-monomial
-    side."""
+    ``feature_map.monomial_buffer``, whose order that function picks from
+    the block's shape: at most ``FACTOR_BLOCK_ELEMENTS`` entries, and
+    overwritten by the next block.  Each block goes through
+    ``build_factor_matrices`` as its pure-monomial side."""
     step = max(1, FACTOR_BLOCK_ELEMENTS // fmap.rank)
-    buf = _aligned_empty((fmap.rank, min(step, rows.shape[0])))
+    buf = fm.monomial_buffer(fmap.rank, min(step, rows.shape[0]))
     empty = np.empty((0, fmap.d))
     for lo in range(0, rows.shape[0], step):
         block = slice(lo, min(lo + step, rows.shape[0]))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,17 +170,89 @@ def test_gather_and_prefix_forms_agree_bit_for_bit(monkeypatch, d, g, order):
     for n in (0, 1, 2, cross - 1, cross, cross + 1):
         rows = np.asarray(rng.uniform(-1.5, 1.5, (n, d)), order=order)
         default = fmap.monomials(rows)
-        buf = np.full((fmap.rank, n + 3), np.nan)
         forms = []
-        for limit in (0, 2**62):  # the prefix loop, then gathers at any size
-            monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", limit)
-            forms.append(fmap.monomials(rows, buf).copy())
-            assert np.isnan(buf[:, n:]).all()
-            assert np.array_equal(fmap.monomials(rows), forms[-1])
-        monkeypatch.undo()
+        # each form into a rank-major buffer and into a row-major one
+        for buf in (
+            np.full((fmap.rank, n + 3), np.nan),
+            np.full((n + 3, fmap.rank), np.nan).T,
+        ):
+            for limit in (0, 2**62):  # the prefix loop, then gathers at any size
+                monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", limit)
+                forms.append(fmap.monomials(rows, buf).copy())
+                assert np.isnan(buf[:, n:]).all()
+                assert np.array_equal(fmap.monomials(rows), forms[-1])
+            monkeypatch.undo()
         assert forms[0].shape == (n, fmap.rank)
-        assert np.array_equal(forms[0], forms[1])
-        assert np.array_equal(forms[0], default)
+        for form in forms:
+            assert np.array_equal(form, default)
+
+
+def test_high_rank_blocks_are_built_row_major():
+    fmap = build_feature_map(poly_from_coeffs([1.0] * 10), 8)  # rank 24,310
+    # the most rows a row-major block holds: rank > ROW_MAJOR_RATIO * rows
+    cross = (fmap.rank - 1) // fm.ROW_MAJOR_RATIO
+    assert fmap.rank * cross > fm.GATHER_BLOCK_ELEMENTS
+    rng = np.random.default_rng(19)
+    for n in (1, cross - 1, cross, cross + 1, cross + 2):
+        rows = rng.uniform(-1.5, 1.5, (n, 8))
+        u = fmap.monomials(rows)
+        buf = fm.monomial_buffer(fmap.rank, n)
+        assert buf.shape == (fmap.rank, n) and buf.ctypes.data % 64 == 0
+        # row-major: U is the C-ordered rows x rank array itself
+        assert buf.strides == ((8, 8 * fmap.rank) if n <= cross else (8 * n, 8))
+        assert u.strides == buf.T.strides
+        rank_major = np.empty((fmap.rank, n))
+        assert np.array_equal(u, fmap.monomials(rows, rank_major))
+
+
+def test_gather_blocks_and_batch_shapes_stay_rank_major():
+    # a one-column block of the stream shape, gather blocks past the ratio,
+    # batch-d4's QUERY block and batch-d8's MEMORY factor keep one monomial
+    # per buffer row
+    for rank, rows in ((126, 1), (2380, 1), (6435, 2), (126, 16384), (1287, 4096)):
+        assert rank * rows <= fm.GATHER_BLOCK_ELEMENTS or rank <= fm.ROW_MAJOR_RATIO * rows
+        buf = fm.monomial_buffer(rank, rows)
+        assert buf.shape == (rank, rows)
+        assert buf.strides == (8 * rows, 8)
+    # a one-row block past the gather crossover is one run either way
+    assert fm.monomial_buffer(203490, 1).T.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [
+        (np.empty((126, 2)), DimensionMismatch),
+        (np.empty((125, 3)), DimensionMismatch),
+        (np.empty((126, 3), dtype=np.float32), ValueError),
+        (np.empty((126, 6))[:, ::2], ValueError),
+        (np.empty((2, 126)).T, DimensionMismatch),
+        (np.empty((3, 252)).T[::2], ValueError),
+        (np.empty((6, 126)).T[:, ::2], ValueError),
+    ],
+)
+def test_monomials_rejects_an_out_outside_its_contract(out, error):
+    fmap = build_feature_map(poly_from_coeffs([1.0] * 6), 4)
+    with pytest.raises(error):
+        fmap.monomials(np.ones((3, 4)), out)
+
+
+@pytest.mark.parametrize("g", [18, 19, 20, 21])
+def test_int64_multinomials_equal_python_ints(monkeypatch, g):
+    p = poly_from_coeffs([1.0 / math.factorial(k) for k in range(g + 1)])
+    fast = build_feature_map(p, 3)
+    # a factorial past int64 forces the Python-int count at any degree
+    monkeypatch.setattr(
+        fm, "math", SimpleNamespace(comb=math.comb, factorial=lambda n: 2**63)
+    )
+    exact = build_feature_map(p, 3)
+    assert np.array_equal(fast.exponents, exact.exponents)
+    assert np.array_equal(fast.weights, exact.weights)
+    counts = [
+        math.factorial(sum(a)) // math.prod(math.factorial(k) for k in a)
+        for a in exact.exponents.tolist()
+    ]
+    coeffs = [p.coeffs[sum(a)] for a in exact.exponents.tolist()]
+    assert np.array_equal(exact.weights, np.array(coeffs) * np.array(counts, float))
 
 
 def test_identity_polynomial_map():

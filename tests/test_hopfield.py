@@ -734,14 +734,44 @@ def test_one_column_query_builds_its_monomials_by_gathers(monkeypatch):
 
 def test_query_blocks_start_on_a_64_byte_boundary(monkeypatch):
     # the prefix loop's speed over a large block depends on its offset, and
-    # malloc's offset on the process's allocation history
-    fmap = fm.build_feature_map(poly_approx.fit_exp_poly(1.0, 1e-3), 4)
-    monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", fmap.rank * 200)
-    rows = np.random.default_rng(43).uniform(-1, 1, (450, 4))
-    for _ in range(4):  # different allocation histories
-        blocks = list(hopfield._monomial_blocks(fmap, rows))
-        assert [b.stop - b.start for b, _ in blocks] == [200, 200, 50]
-        assert all(u.ctypes.data % 64 == 0 for _, u in blocks)
+    # malloc's offset on the process's allocation history.  Rank 126 blocks
+    # keep one monomial per buffer row; 5-row blocks at rank 12,870 are
+    # laid out row-major, so U is the C-ordered block itself
+    for d, bound, rank, step, row_major in (
+        (4, 1.0, 126, 200, False),
+        (8, 2.25, 12870, 5, True),
+    ):
+        fmap = fm.build_feature_map(poly_approx.fit_exp_poly(bound, 1e-3), d)
+        assert fmap.rank == rank
+        monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", rank * step)
+        rows = np.random.default_rng(43).uniform(-1, 1, (2 * step + step // 4, d))
+        for _ in range(4):  # different allocation histories
+            blocks = list(hopfield._monomial_blocks(fmap, rows))
+            assert [b.stop - b.start for b, _ in blocks] == [step, step, step // 4]
+            assert all(u.ctypes.data % 64 == 0 for _, u in blocks)
+            assert all(u.strides[1] == (8 if row_major else 8 * step) for _, u in blocks)
+
+
+def test_high_rank_query_retrieval_agrees_in_both_block_orders(monkeypatch):
+    # B = 1.5 at d = 8, beta = 1/8 fits degree 8 (rank 12,870), and 5-row
+    # blocks are laid out row-major by default
+    rng = np.random.default_rng(47)
+    mem = random_patterns(rng, 8, 40, b=1.5)
+    q = random_patterns(rng, 8, 23, b=1.5, role="query")
+    cfg = RetrievalConfig(beta=1 / 8)
+    monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", 12870 * 5)
+    dense = retrieve_dense(mem, q, cfg)
+    b = max(mem.max_norm, q.max_norm)
+    outs = []
+    for ratio in (0, 2**62):  # every prefix-loop block row-major, then none
+        monkeypatch.setattr(fm, "ROW_MAJOR_RATIO", ratio)
+        fresh = PatternMatrix(mem.data)
+        first = retrieve_lowrank(fresh, q, cfg)
+        assert first.rank_used == 12870
+        assert max_norm_error(first.Z, dense.Z) <= first.error_bound
+        assert np.array_equal(retrieve_lowrank(fresh, q, cfg).Z, first.Z)
+        outs.append(first.Z)
+    assert max_norm_error(outs[0], outs[1]) <= 8 * np.finfo(float).eps * b
 
 
 @pytest.mark.parametrize(
