@@ -55,9 +55,9 @@ reused, two runs:
 
 No single ratio separates the two orders: row-major also won on the largest
 blocks at 461 and 1,374, but lost up to 1.26x on small blocks near 1,500.
-2,048 is the power of two above which it lost on no block measured.  Blocks
-built by gathers keep one monomial per row, where row-major ran 2.7-5.7x
-slower.
+2,048 is the power of two above which it lost by more than 3% on no block
+measured.  Blocks built by gathers keep one monomial per row, where
+row-major ran 2.7-5.7x slower.
 
 That prefix loop makes g d numpy calls whatever n is, and at a few rows each
 call costs its overhead, not its arithmetic.  So a small block, rank x n at
