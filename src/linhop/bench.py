@@ -1,8 +1,10 @@
 """Runtime-scaling, error-sweep, and norm-phase experiment harness.
 
-Timing hygiene: monotonic clock, one discarded warm-up run, median of
-repeats, strictly sequential execution.  Slope fits are plain least squares
-on (log tau, log time) and are reproducible from the emitted CSV.
+Timing hygiene: a single retrieval is timed by its own
+``RetrievalResult.wall_time``; repeated runs by a monotonic clock, one
+discarded warm-up run and the median of repeats; execution is strictly
+sequential.  Slope fits are plain least squares on (log tau, log time) and
+are reproducible from the emitted CSV.
 """
 
 from __future__ import annotations
@@ -137,9 +139,8 @@ def runtime_scaling(
         if dense_skipped:
             flag = "dense-skipped"
         else:
-            t0 = time.monotonic()
             z_dense = retrieve_dense(memory, queries, cfg)
-            first = time.monotonic() - t0
+            first = z_dense.wall_time
             if first > DENSE_COST_CAP_SECONDS:
                 dense_skipped = True
                 time_dense = first
@@ -212,9 +213,7 @@ def error_sweep(
         cfg = RetrievalConfig(
             beta=beta, delta_a=da, normalization=Normalization.QUERY
         )
-        t0 = time.monotonic()
         out = retrieve_lowrank(memory, queries, cfg)
-        elapsed = time.monotonic() - t0
         records.append(
             ExperimentRecord(
                 kind="error",
@@ -226,7 +225,7 @@ def error_sweep(
                 beta=beta,
                 delta_a=da,
                 wall_time_dense=z_dense.wall_time,
-                wall_time_lowrank=elapsed,
+                wall_time_lowrank=out.wall_time,
                 measured_error=max_norm_error(out.Z, z_dense.Z),
                 bound_2MBdA=lowrank_error_bound(M, memory.max_norm, da),
                 seed=seed,
@@ -266,9 +265,8 @@ def phase_sweep(
         r_prime = -1
         elapsed = 0.0
         try:
-            t0 = time.monotonic()
             out = retrieve_lowrank(memory, queries, cfg)
-            elapsed = time.monotonic() - t0
+            elapsed = out.wall_time
             g = out.degree_used
             r_prime = out.rank_used
         except DegreeExhausted:

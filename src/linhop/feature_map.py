@@ -11,11 +11,12 @@ multinomial expansion of ``P(<u, v>)``, giving the exact factorization
 with rank C(d+g, g).  Indices are kept in graded-lexicographic order and each
 monomial is built from its parent by a single multiplication, so factor
 matrices cost O(rows * rank) multiplications.  The work is written into a
-rank x n buffer in one of two orders (``monomial_buffer``), and the n x rank
-arrays handed back are transposed views of it: Fortran-ordered when the
-buffer holds one monomial per row, C-ordered when it is row-major; callers
-must assume neither.  A caller that walks its rows in blocks can pass one
-buffer (``out``) for every block, so no block allocates.
+rank x n buffer in one of two orders (``_monomial_buffer``, the one place
+that picks it), and the n x rank arrays handed back are transposed views of
+it: Fortran-ordered when the buffer holds one monomial per row, C-ordered
+when it is row-major; callers must assume neither.  A caller that walks its
+rows in blocks lets the first, largest block allocate its buffer and passes
+that buffer (``out``) for every later block, so no later block allocates.
 
 The parent of an alpha of degree t+1 drops one unit from its first nonzero
 slot v.  Within a level in lexicographic order, the indices that are zero
@@ -96,7 +97,8 @@ import numpy as np
 from .errors import DimensionMismatch, SizeOverflow
 from .poly_approx import ExpPolynomial
 
-DEFAULT_RANK_CAP = 10**6
+# the largest rank build_feature_map builds; a larger map raises SizeOverflow
+RANK_CAP = 10**6
 
 # the largest block (rank x rows) built by gathers rather than by the prefix
 # loop, and the rank / rows above which a larger block is laid out row-major;
@@ -120,7 +122,7 @@ def _aligned_empty(shape) -> np.ndarray:
     return buf[start : start + size].reshape(shape)
 
 
-def monomial_buffer(rank: int, rows: int) -> np.ndarray:
+def _monomial_buffer(rank: int, rows: int) -> np.ndarray:
     """An uninitialized rank x rows ``out`` for ``MonomialFeatureMap.monomials``
     on a 64-byte boundary.  A block the prefix loop builds whose rank exceeds
     ``ROW_MAJOR_RATIO`` times its rows is the transpose of a rows x rank C
@@ -151,7 +153,7 @@ class MonomialFeatureMap:
         """Evaluate all monomials at each row of ``rows`` (shape n x d).
 
         Returns the transpose of the first n columns of ``out``, or of a new
-        ``monomial_buffer``.  ``out`` is a rank x m float array with m >= n,
+        ``_monomial_buffer``.  ``out`` is a rank x m float array with m >= n,
         in one of two orders: rank-major, with contiguous rows (one monomial
         per row, so the result is Fortran-ordered), or row-major, the
         transpose of an m x rank C array (the result is C-ordered).  A
@@ -167,7 +169,7 @@ class MonomialFeatureMap:
                 f"expected shape (*, {self.d}), got {rows.shape}"
             )
         if out is None:
-            out = monomial_buffer(self.rank, rows.shape[0])
+            out = _monomial_buffer(self.rank, rows.shape[0])
         elif out.shape[0] != self.rank or out.shape[1] < rows.shape[0]:
             raise DimensionMismatch(
                 f"out must be ({self.rank}, >= {rows.shape[0]}), got {out.shape}"
@@ -218,20 +220,19 @@ def _gather_plan(d: int, prefixes: tuple) -> tuple:
     return tuple(plan)
 
 
-def build_feature_map(
-    p: ExpPolynomial, d: int, cap: int = DEFAULT_RANK_CAP
-) -> MonomialFeatureMap:
+def build_feature_map(p: ExpPolynomial, d: int) -> MonomialFeatureMap:
     """Feature map realizing P(<u, v>) = <phi_u(u), phi_v(v)> exactly.
 
     All coefficient weight (polynomial coefficient times multinomial) sits on
-    the phi_u side; phi_v is pure monomials.
+    the phi_u side; phi_v is pure monomials.  A rank above ``RANK_CAP``
+    raises ``SizeOverflow`` before anything is built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     g = p.degree
     rank = math.comb(d + g, g)
-    if rank > cap:
-        raise SizeOverflow(f"rank C({d}+{g}, {g}) = {rank} exceeds cap {cap}")
+    if rank > RANK_CAP:
+        raise SizeOverflow(f"rank C({d}+{g}, {g}) = {rank} exceeds cap {RANK_CAP}")
     level = np.zeros((1, d), dtype=np.int64)
     # every product m(alpha) (t+1) below is at most (g+1)!, so int64 counts
     # exactly up to degree 19; Python ints are exact at any degree
@@ -269,8 +270,9 @@ def build_factor_matrices(
     """U1 (rows phi_u of x_rows) and U2 (rows phi_v of y_rows) with
     U1 @ U2.T == P(x_rows @ y_rows.T) entrywise.
 
-    Both are n x rank transposed views of rank-major buffers (Fortran order);
-    the weights are applied to U1 in place.  ``out`` is the buffer for a call
+    Both are n x rank transposed views of the buffers ``monomials`` writes,
+    Fortran-ordered or C-ordered as ``_monomial_buffer`` picks from the
+    side's shape; the weights are applied to U1 in place.  ``out`` is the buffer for a call
     with one empty side: the other side's factor is written into it, as in
     ``MonomialFeatureMap.monomials``.  An empty side builds and weights
     nothing; its factor is a new 0 x rank array."""

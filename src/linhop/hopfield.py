@@ -22,12 +22,13 @@ the output with the associativity order that never materializes the M x L
 score matrix.  The memory side of that factorization is built once per memory
 matrix, in O(M r) monomial work for rank r, and kept on it: for QUERY the
 (d+1) x r state [Xi; 1^T] @ U1, after which a call costs O(L r d) whatever M
-is; for MEMORY the M x r factor U1 itself.  QUERY never holds U1 or U2 whole:
-both sides walk their rows in blocks of ``FACTOR_BLOCK_ELEMENTS`` entries
-through one reused buffer and contract each block at once, so its working
-memory is one block instead of O((M + L) r).  The buffer's order follows the
-block's shape (``feature_map.monomial_buffer``): one monomial per buffer row,
-or, when the rank is thousands of times the block's rows, row-major.
+is; for MEMORY the M x r factor U1 itself.  One pass (``_lowrank``) fits,
+factors and normalizes under either convention, and every low-rank caller
+reads it.  QUERY never holds U1 or U2 whole: both sides walk their rows in
+blocks of ``FACTOR_BLOCK_ELEMENTS`` entries and contract each block at once,
+so its working memory is one block instead of O((M + L) r).  The first
+block allocates the buffer, in the order ``feature_map`` picks from its
+shape, and every later block reuses it.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ DENSE_CHUNK_ELEMENTS = 2**20
 # element budget (rank x rows) for one block of QUERY monomials: 2^22
 # doubles, 32 MiB.  Common batch shapes stay in one block, such as 16,384
 # rows at rank 126, where 4-8 blocks made a warm call 15-20% slower.  At rank
-# 203,490 (d = 8, degree 13) it gives 20-row blocks, which
-# ``feature_map.monomial_buffer`` lays out row-major.  A cold 256 x 256
+# 203,490 (d = 8, degree 13) it gives 20-row blocks, whose buffer
+# ``feature_map`` lays out row-major.  A cold 256 x 256
 # retrieval there took a median 247 ms with this budget, 268 ms with 2^23
 # (41-row blocks) and 287 ms with 2^21; in blocks of one monomial per row it
 # took 291 ms with 2^22 and 395 ms with 2^23 (2-vCPU Xeon, 7 alternating runs
@@ -407,17 +408,20 @@ def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
 
 def _monomial_blocks(fmap, rows: np.ndarray):
     """Yield (block, U) over consecutive blocks of ``rows`` (n x d), U the
-    block's monomials (no coefficient weights) as a transposed view of one
-    ``feature_map.monomial_buffer``, whose order that function picks from
-    the block's shape: at most ``FACTOR_BLOCK_ELEMENTS`` entries, and
-    overwritten by the next block.  Each block goes through
+    block's monomials (no coefficient weights), at most
+    ``FACTOR_BLOCK_ELEMENTS`` entries, and overwritten by the next block.
+    The first block is the largest, so ``monomials`` allocates its buffer,
+    in the order ``feature_map`` picks from its shape, and each later block
+    is written into that buffer, U.T.  Each block goes through
     ``build_factor_matrices`` as its pure-monomial side."""
     step = max(1, FACTOR_BLOCK_ELEMENTS // fmap.rank)
-    buf = fm.monomial_buffer(fmap.rank, min(step, rows.shape[0]))
+    buf = None
     empty = np.empty((0, fmap.d))
     for lo in range(0, rows.shape[0], step):
         block = slice(lo, min(lo + step, rows.shape[0]))
-        yield block, fm.build_factor_matrices(fmap, empty, rows[block], buf)[1]
+        u = fm.build_factor_matrices(fmap, empty, rows[block], buf)[1]
+        buf = u.T
+        yield block, u
 
 
 def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalization):
@@ -453,47 +457,38 @@ def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalizati
     return state
 
 
-def _lowrank_sides(
-    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
-):
-    """The fit and both factors of the MEMORY-normalized retrieval: (poly,
-    fmap, B, U1, U2), U1 the kept memory state of ``_memory_state`` and U2
-    the monomials of sqrt(beta) X, so U1 @ U2.T carries exp(beta Xi^T X) to
-    delta_a.  MEMORY needs U2 whole, since it reads it twice."""
-    poly, fmap, b = _fit(memory, queries, cfg)
-    scale = np.sqrt(cfg.beta)
-    u1 = _memory_state(memory, fmap, scale, cfg.normalization)
-    _, u2 = fm.build_factor_matrices(
-        fmap, np.empty((0, memory.d)), scale * queries.data.T
-    )
-    return poly, fmap, b, u1, u2
+def _lowrank(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
+    """The one factored pass: (poly, fmap, B, norm, parts), with the fit,
+    the kept memory state of ``_memory_state`` and the monomials of
+    sqrt(beta) X, whose product carries exp(beta Xi^T X) to delta_a.
 
-
-def _query_numerators(
-    memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
-):
-    """The fit and the QUERY-normalized numerators: (poly, fmap, B, N), N the
-    (d+1) x L product state @ U2.T of the kept [Xi; 1^T] @ U1 with the query
-    monomials, so its last row holds the column normalizers.  Each block of
-    ``_monomial_blocks`` writes its columns of N at once; U2 is never whole."""
+    * QUERY: parts is N, the (d+1) x L product state @ U2.T of the kept
+      [Xi; 1^T] @ U1 with the query monomials, and norm is its last row, the
+      column normalizers.  Each block of ``_monomial_blocks`` writes its
+      columns of N at once; U2 is never whole.
+    * MEMORY: parts is (U1, U2), U1 the kept state, and norm their factored
+      row sums.  U2 is whole, since the row sums and the output both read
+      it."""
     poly, fmap, b = _fit(memory, queries, cfg)
     scale = np.sqrt(cfg.beta)
     state = _memory_state(memory, fmap, scale, cfg.normalization)
+    if cfg.normalization is Normalization.MEMORY:
+        _, u2 = fm.build_factor_matrices(
+            fmap, np.empty((0, memory.d)), scale * queries.data.T
+        )
+        return poly, fmap, b, fm.factored_row_sums(state, u2), (state, u2)
     numer = np.empty((memory.d + 1, queries.count))
     for block, u2 in _monomial_blocks(fmap, scale * queries.data.T):
         np.matmul(state, u2.T, out=numer[:, block])
-    return poly, fmap, b, numer
+    return poly, fmap, b, numer[-1], numer
 
 
 def lowrank_normalizers(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ) -> np.ndarray:
     """Approximated normalizer vector (row sums for MEMORY, column sums for
-    QUERY) from the same factored form retrieval uses."""
-    if cfg.normalization is Normalization.MEMORY:
-        _, _, _, u1, u2 = _lowrank_sides(memory, queries, cfg)
-        return fm.factored_row_sums(u1, u2)
-    return _query_numerators(memory, queries, cfg)[3][-1]
+    QUERY) from the same factored pass retrieval uses."""
+    return _lowrank(memory, queries, cfg)[3]
 
 
 def dense_normalizers(
@@ -521,22 +516,18 @@ def retrieve_lowrank(
     matching normalization convention.
     """
     start = time.perf_counter()
+    poly, fmap, b, norm, parts = _lowrank(memory, queries, cfg)
     by_rows = cfg.normalization is Normalization.MEMORY
-    if by_rows:
-        poly, fmap, b, u1, u2 = _lowrank_sides(memory, queries, cfg)
-        norm = fm.factored_row_sums(u1, u2)
-    else:
-        poly, fmap, b, numer = _query_numerators(memory, queries, cfg)
-        norm = numer[-1]
     if np.any(norm <= 0):
         raise NonPositiveNormalizer(
             f"approximated {'row' if by_rows else 'column'} normalizer "
             "has a non-positive entry"
         )
     if by_rows:
+        u1, u2 = parts
         z = ((memory.data / norm) @ u1) @ u2.T
     else:
-        z = numer[:-1] / norm
+        z = parts[:-1] / norm
     return RetrievalResult(
         Z=z,
         rank_used=fmap.rank,

@@ -20,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import feature_map as fm
 from .errors import (
     CostCapExceeded,
     InfeasiblePlant,
@@ -30,7 +29,7 @@ from .hopfield import (
     Normalization,
     PatternMatrix,
     RetrievalConfig,
-    _lowrank_sides,
+    _lowrank,
     retrieve_lowrank,
 )
 
@@ -313,10 +312,10 @@ def _lowrank_statistic(
     block = math.exp(params.B**2)
     top_mem = PatternMatrix(memory.data[:, :n], role="memory")
     left_qry = PatternMatrix(queries.data[:, :n], role="query")
-    # MEMORY normalization: the kept memory state is U1 itself
-    _, _, _, u1, u2 = _lowrank_sides(top_mem, left_qry, cfg)
+    # MEMORY normalization: the pass's parts are the factors U1 and U2
+    _, _, _, row_sums, (u1, u2) = _lowrank(top_mem, left_qry, cfg)
     d = np.empty(2 * n)
-    d[:n] = fm.factored_row_sums(u1, u2) + n * block
+    d[:n] = row_sums + n * block
     d[n:] = n * block
     z = np.empty((memory.d, 2 * n))
     z[:, :n] = ((memory.data[:, :n] / d[:n]) @ u1) @ u2.T

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from linhop import bench, hopfield
+from linhop import feature_map as fm
 from linhop.bench import (
     ExperimentRecord,
     error_sweep,
@@ -89,6 +91,17 @@ def test_phase_sweep_records_failures():
     assert records[-1].flag in ("degree-exhausted", "rank-overflow")
 
 
+def test_phase_sweep_flags_a_rank_over_the_cap(monkeypatch):
+    # B = 0.5 at d = 8, beta = 1/8 fits degree 2, rank C(10, 2) = 45; fits
+    # are memoized per key, so the cache starts empty
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    monkeypatch.setattr(fm, "RANK_CAP", 40)
+    (record,) = phase_sweep([0.5], tau=8, d=8, beta=1 / 8, delta_a=1e-3, seed=0)
+    assert record.flag == "rank-overflow"
+    assert record.g == record.r_prime == -1
+    assert record.wall_time_lowrank == 0.0
+
+
 def test_phase_sweep_empty():
     assert phase_sweep([], tau=16, d=4, beta=1.0, delta_a=1e-3) == []
 
@@ -108,6 +121,19 @@ def test_runtime_scaling_small():
         assert rec.wall_time_dense >= 0 and rec.wall_time_lowrank >= 0
         assert math.isfinite(rec.measured_error)
         assert rec.measured_error <= rec.bound_2MBdA
+
+
+def test_runtime_scaling_skips_dense_past_its_cost_cap(monkeypatch):
+    monkeypatch.setattr(bench, "DENSE_COST_CAP_SECONDS", 0.0)
+    records, slopes = runtime_scaling(
+        [32, 64, 128], d=3, beta=1.0 / 3, B=1.0, delta_a=1e-3, repeats=3, seed=0
+    )
+    assert [r.flag for r in records] == ["dense-cost-cap", "dense-skipped", "dense-skipped"]
+    # the capped run keeps its one timing and its error check
+    assert records[0].wall_time_dense > 0
+    assert math.isfinite(records[0].measured_error)
+    assert all(math.isnan(r.wall_time_dense) for r in records[1:])
+    assert "dense" not in slopes and "lowrank" in slopes
 
 
 def test_runtime_scaling_single_tau_no_slopes():

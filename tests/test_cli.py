@@ -1,13 +1,15 @@
 """Tests for the command-line entry point."""
 
 import csv
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from linhop.cli import main
+from linhop.bench import ExperimentRecord
+from linhop.cli import _atomic_write, main
 from linhop.hopfield import PatternMatrix
 from linhop.poly_approx import ExpPolynomial
 
@@ -191,6 +193,64 @@ def test_bench_error_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3  # header + two records
     capsys.readouterr()
+
+
+def read_records(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [f.name for f in dataclasses.fields(ExperimentRecord)]
+    return rows
+
+
+def test_bench_scaling_csv_and_summary(tmp_path, capsys):
+    out, summary = tmp_path / "scaling.csv", tmp_path / "summary.json"
+    assert main(["bench-scaling", "--tau", "16,32", "--d", "2", "--out", str(out),
+                 "--summary", str(summary)]) == 0
+    rows = read_records(out)
+    assert [(r["kind"], r["tau"]) for r in rows] == [("scaling", "16"), ("scaling", "32")]
+    report = json.loads(summary.read_text())
+    assert set(report) == {"slopes", "records", "flags", "machine"}
+    assert set(report["slopes"]) == {"dense", "lowrank"}
+    assert report["records"] == 2
+    printed = capsys.readouterr().out
+    assert "dense slope" in printed and "lowrank slope" in printed
+
+
+def test_bench_phase_csv_flags_an_exhausted_degree(tmp_path, capsys):
+    out = tmp_path / "phase.csv"
+    assert main(["bench-phase", "--B-list", "0.5,3", "--tau", "8", "--d", "2",
+                 "--degree-cap", "4", "--out", str(out)]) == 0
+    rows = read_records(out)
+    assert [(r["kind"], r["B"], r["flag"]) for r in rows] == [
+        ("phase", "0.5", ""),
+        ("phase", "3.0", "degree-exhausted"),
+    ]
+    assert int(rows[0]["g"]) > 0 and rows[1]["g"] == rows[1]["r_prime"] == "-1"
+    assert "wrote 2 records" in capsys.readouterr().out
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_writer_fails(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"kept\n")
+
+    def failing(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(str(target), failing)
+    assert target.read_bytes() == b"kept\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+    def interrupted(tmp):
+        raise KeyboardInterrupt
+
+    # an interrupt cleans up too, and a new target is never created
+    with pytest.raises(KeyboardInterrupt):
+        _atomic_write(str(tmp_path / "new.csv"), interrupted)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_capacity_csv(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from linhop import feature_map as fm
 from linhop.errors import DimensionMismatch, SizeOverflow
 from linhop.feature_map import (
-    DEFAULT_RANK_CAP,
     build_factor_matrices,
     build_feature_map,
     factored_row_sums,
@@ -29,9 +28,9 @@ def poly_from_coeffs(coeffs, bound=1.0):
     )
 
 
-def exponents(d, g, cap=DEFAULT_RANK_CAP):
+def exponents(d, g):
     """The feature map's multi-indices for a degree-g polynomial, as tuples."""
-    fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d, cap)
+    fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
     return [tuple(int(e) for e in row) for row in fmap.exponents]
 
 
@@ -62,9 +61,10 @@ def test_enumerate_graded_lex_strictly_increasing():
     assert len(set(keys)) == len(keys)
 
 
-def test_enumerate_size_overflow():
+def test_enumerate_size_overflow(monkeypatch):
+    monkeypatch.setattr(fm, "RANK_CAP", 1000)
     with pytest.raises(SizeOverflow):
-        exponents(50, 10, cap=1000)
+        exponents(50, 10)
 
 
 def reference_feature_map(coeffs, d):
@@ -196,7 +196,7 @@ def test_high_rank_blocks_are_built_row_major():
     for n in (1, cross - 1, cross, cross + 1, cross + 2):
         rows = rng.uniform(-1.5, 1.5, (n, 8))
         u = fmap.monomials(rows)
-        buf = fm.monomial_buffer(fmap.rank, n)
+        buf = fm._monomial_buffer(fmap.rank, n)
         assert buf.shape == (fmap.rank, n) and buf.ctypes.data % 64 == 0
         # row-major: U is the C-ordered rows x rank array itself
         assert buf.strides == ((8, 8 * fmap.rank) if n <= cross else (8 * n, 8))
@@ -211,11 +211,11 @@ def test_gather_blocks_and_batch_shapes_stay_rank_major():
     # per buffer row
     for rank, rows in ((126, 1), (2380, 1), (6435, 2), (126, 16384), (1287, 4096)):
         assert rank * rows <= fm.GATHER_BLOCK_ELEMENTS or rank <= fm.ROW_MAJOR_RATIO * rows
-        buf = fm.monomial_buffer(rank, rows)
+        buf = fm._monomial_buffer(rank, rows)
         assert buf.shape == (rank, rows)
         assert buf.strides == (8 * rows, 8)
     # a one-row block past the gather crossover is one run either way
-    assert fm.monomial_buffer(203490, 1).T.flags.c_contiguous
+    assert fm._monomial_buffer(203490, 1).T.flags.c_contiguous
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from linhop.errors import (
     InvalidBound,
     MalformedPatternFile,
     NonFiniteInput,
+    NonPositiveNormalizer,
     SingleMemory,
     SizeOverflow,
 )
@@ -635,6 +636,33 @@ def test_failed_fit_is_not_repeated(monkeypatch, d, entry, cfg, error):
         messages.append(str(info.value))
     assert len(calls) == 1
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "normalization, word, expected",
+    [(Normalization.QUERY, "column", -5.0), (Normalization.MEMORY, "row", -4.0)],
+)
+def test_negative_normalizer_is_refused(monkeypatch, normalization, word, expected):
+    # the constant polynomial -1 gives a rank-1 map whose factored
+    # normalizers are -M (column sums) and -L (row sums)
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    negative = poly_approx.ExpPolynomial(
+        coeffs=(-1.0,),
+        degree=0,
+        interval_bound=1.0,
+        target_rel_error=1e-3,
+        certified_rel_error=0.0,
+    )
+    monkeypatch.setattr(poly_approx, "fit_exp_poly", lambda *args: negative)
+    rng = np.random.default_rng(53)
+    mem = random_patterns(rng, 3, 5)
+    q = random_patterns(rng, 3, 4, role="query")
+    cfg = RetrievalConfig(beta=1.0, normalization=normalization)
+    with pytest.raises(NonPositiveNormalizer, match=word):
+        retrieve_lowrank(mem, q, cfg)
+    norm = lowrank_normalizers(mem, q, cfg)
+    assert np.array_equal(norm, np.full(len(norm), expected))
+    assert len(norm) == (4 if normalization is Normalization.QUERY else 5)
 
 
 def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
