@@ -271,11 +271,11 @@ def build_factor_matrices(
     U1 @ U2.T == P(x_rows @ y_rows.T) entrywise.
 
     Both are n x rank transposed views of the buffers ``monomials`` writes,
-    Fortran-ordered or C-ordered as ``_monomial_buffer`` picks from the
-    side's shape; the weights are applied to U1 in place.  ``out`` is the buffer for a call
-    with one empty side: the other side's factor is written into it, as in
-    ``MonomialFeatureMap.monomials``.  An empty side builds and weights
-    nothing; its factor is a new 0 x rank array."""
+    Fortran- or C-ordered as ``_monomial_buffer`` picks from the side's
+    shape; the weights are applied to U1 in place.  ``out`` is the buffer
+    for a call with one empty side: the other side's factor is written into
+    it, as in ``MonomialFeatureMap.monomials``.  An empty side builds and
+    weights nothing; its factor is a new 0 x rank array."""
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
     if x_rows.size == 0:

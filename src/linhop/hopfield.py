@@ -412,8 +412,8 @@ def _monomial_blocks(fmap, rows: np.ndarray):
     ``FACTOR_BLOCK_ELEMENTS`` entries, and overwritten by the next block.
     The first block is the largest, so ``monomials`` allocates its buffer,
     in the order ``feature_map`` picks from its shape, and each later block
-    is written into that buffer, U.T.  Each block goes through
-    ``build_factor_matrices`` as its pure-monomial side."""
+    is written into that buffer (the first U's transpose).  Each block goes
+    through ``build_factor_matrices`` as its pure-monomial side."""
     step = max(1, FACTOR_BLOCK_ELEMENTS // fmap.rank)
     buf = None
     empty = np.empty((0, fmap.d))
