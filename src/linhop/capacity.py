@@ -96,18 +96,23 @@ class CapacityParams:
         return lowrank_error_bound(self.M, self.B, self.delta_a)
 
 
+def _margin_gap(params: CapacityParams) -> float:
+    """R - 2 M B delta_a, refused with InfeasibleStorage unless positive."""
+    gap = params.R - params.error_margin
+    if gap <= 0:
+        raise InfeasibleStorage(
+            f"R = {params.R} must exceed 2*M*B*delta_a = {params.error_margin}"
+        )
+    return gap
+
+
 def well_separation_threshold(params: CapacityParams) -> float:
     """Lower bound on the separation Delta_mu guaranteeing each sphere maps
     into itself: (1/beta) ln(2(M-1)m / (R - 2MB delta_a)) + 2 m R."""
     if params.M < 2:
         raise ValueError("well-separation needs M >= 2")
-    denom = params.R - params.error_margin
-    if denom <= 0:
-        raise InfeasibleStorage(
-            f"R = {params.R} must exceed 2*M*B*delta_a = {params.error_margin}"
-        )
     return (1.0 / params.beta) * math.log(
-        2.0 * (params.M - 1) * params.m / denom
+        2.0 * (params.M - 1) * params.m / _margin_gap(params)
     ) + 2.0 * params.m * params.R
 
 
@@ -125,12 +130,7 @@ def capacity_lower_bound(params: CapacityParams) -> float:
     when the logarithm argument or b is not positive."""
     if params.d < 2:
         raise ValueError("d must be >= 2")
-    denom = params.R - params.error_margin
-    if denom <= 0:
-        raise InfeasibleStorage(
-            f"R = {params.R} must exceed 2*M*B*delta_a = {params.error_margin}"
-        )
-    log_arg = 2.0 * params.m * (math.sqrt(params.p) - 1.0) / denom
+    log_arg = 2.0 * params.m * (math.sqrt(params.p) - 1.0) / _margin_gap(params)
     if log_arg <= 0:
         raise OutOfDomain(
             f"logarithm argument {log_arg} <= 0 (sqrt(p) - 1 must be positive)"

@@ -4,7 +4,8 @@ Subcommands cover polynomial fitting, retrieval, the three benchmark sweeps,
 the capacity experiment, the nearest-neighbor reduction, and a deterministic
 self-verification battery.  All output files are written atomically (temp
 file in the target directory, then rename).  A JSON config file may supply
-any flag; explicit command-line flags override config values.
+any flag of the chosen subcommand; explicit command-line flags override
+config values.
 """
 
 from __future__ import annotations
@@ -168,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Config-file values fill in flags the user did not pass explicitly."""
+    """Config-file values fill in flags of the chosen subcommand that the
+    user did not pass explicitly; the subcommand itself and ``config`` are
+    not flags a config file may set."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
@@ -176,7 +179,7 @@ def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
     explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("subcommand", "config") or not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
         if attr not in explicit:
             setattr(args, attr, value)
@@ -214,9 +217,7 @@ def _cmd_bench_scaling(args) -> int:
     )
     _atomic_write(args.out, lambda tmp: bench.records_to_csv(records, tmp))
     if args.summary:
-        _atomic_write(
-            args.summary, lambda tmp: bench.summary_json(records, slopes, tmp)
-        )
+        _atomic_text(args.summary, bench.summary_json(records, slopes) + "\n")
     for name, slope in sorted(slopes.items()):
         print(f"{name} slope {slope:.3f}")
     return 0

@@ -143,17 +143,10 @@ class ReductionParams:
             )
 
 
-def compute_params(
-    n: int,
-    d: int,
-    t: float,
-    delta: float,
-    C_beta: float | None = None,
-    C_alpha: float | None = None,
-) -> ReductionParams:
+def compute_params(n: int, d: int, t: float, delta: float) -> ReductionParams:
     """Reduction constants for the given instance shape.
 
-    Defaults pick C_beta with enough slack that the case-2 threshold bound
+    Picks C_beta with enough slack that the case-2 threshold bound
     separates at finite n (the minimal constants only separate
     asymptotically): e^{(delta/4) B^2 t / d} must exceed 3n, so B^2 must be at
     least (4 d / (t delta)) ln(9 n) for a 3x safety factor.
@@ -163,15 +156,13 @@ def compute_params(
     log_n = math.log(n)
     c_big = d / log_n
     c0 = t / log_n
-    if C_beta is None:
-        minimal = 2.1 * math.sqrt(c_big / (c0 * delta))
-        separating = 2.0 * math.sqrt(
-            (c_big / (c0 * delta)) * math.log(9.0 * n) / log_n
-        )
-        C_beta = max(minimal, separating)
-    if C_alpha is None:
-        # the extra ln(6)/ln(n) keeps t_tilde >= delta_h at finite n
-        C_alpha = (C_beta**2 / 4.0) * (3.0 + c0 / c_big) + 1.1 + math.log(6.0) / log_n
+    minimal = 2.1 * math.sqrt(c_big / (c0 * delta))
+    separating = 2.0 * math.sqrt(
+        (c_big / (c0 * delta)) * math.log(9.0 * n) / log_n
+    )
+    C_beta = max(minimal, separating)
+    # the extra ln(6)/ln(n) keeps t_tilde >= delta_h at finite n
+    C_alpha = (C_beta**2 / 4.0) * (3.0 + c0 / c_big) + 1.1 + math.log(6.0) / log_n
     b = C_beta * math.sqrt(log_n)
     b2 = b * b
     log_t_tilde = -math.log(6.0) - log_n + 0.25 * b2 * (1.0 - t / d) - b2
@@ -214,17 +205,16 @@ def classify_queries(inst: AnnsInstance) -> list:
     return out
 
 
-def scenario1_brute_force(
-    inst: AnnsInstance, cost_cap: int = SCENARIO1_COST_CAP
-) -> list:
+def scenario1_brute_force(inst: AnnsInstance) -> list:
     """Per-i decisions by enumerating the Hamming ball of radius < t around
-    each a_i and membership-testing against the rows of B."""
+    each a_i and membership-testing against the rows of B; refused when
+    n times the ball size exceeds ``SCENARIO1_COST_CAP``."""
     radius = math.ceil(inst.t) - 1  # strict: distance < t on integer distances
     radius = min(max(radius, 0), inst.d)
     ball = sum(math.comb(inst.d, s) for s in range(radius + 1))
-    if inst.n * ball > cost_cap:
+    if inst.n * ball > SCENARIO1_COST_CAP:
         raise CostCapExceeded(
-            f"n * ball = {inst.n * ball} exceeds cap {cost_cap}"
+            f"n * ball = {inst.n * ball} exceeds cap {SCENARIO1_COST_CAP}"
         )
     b_rows = {row.tobytes() for row in inst.set_b.astype(np.int64)}
     verdicts = []

@@ -171,9 +171,48 @@ def test_csv_round_trip_and_slope_reproducible(tmp_path):
     assert fit_slope(xs, ys) == pytest.approx(slopes["lowrank"], abs=1e-9)
 
 
-def test_summary_json(tmp_path):
+def test_summary_json():
     records = error_sweep([1e-3], d=4, M=8, L=8, seed=0)
-    path = tmp_path / "summary.json"
-    text = summary_json(records, {"lowrank": 1.0}, path)
-    assert path.read_text().strip() == text.strip()
+    text = summary_json(records, {"lowrank": 1.0})
     assert '"slopes"' in text and '"machine"' in text
+
+
+def test_runtime_scaling_rejects_an_empty_tau_list():
+    with pytest.raises(ValueError, match="tau list must not be empty"):
+        runtime_scaling([], d=3, beta=1.0, B=1.0, delta_a=1e-3)
+
+
+def test_runtime_scaling_measures_the_error_at_a_middle_tau():
+    records, _ = runtime_scaling(
+        [32, 64, 128], d=3, beta=1.0 / 3, B=1.0, delta_a=1e-3, repeats=3, seed=0
+    )
+    middle = records[1]
+    assert middle.tau == 64 and not middle.flag
+    assert math.isfinite(middle.measured_error)
+    assert middle.measured_error <= middle.bound_2MBdA
+
+
+def _instance(key, d, memory_count, query_count):
+    rng = np.random.default_rng(key)
+    memory = hopfield.PatternMatrix(rng.uniform(-1.0, 1.0, size=(d, memory_count)))
+    queries = hopfield.PatternMatrix(
+        rng.uniform(-1.0, 1.0, size=(d, query_count)), role="query"
+    )
+    return memory, queries
+
+
+def test_records_carry_the_bound_the_retrieval_certified():
+    # on these instances a query entry exceeds every memory entry, so the
+    # certified 2 M B delta_a (B over both sides) is above the memory-only one
+    cfg = hopfield.RetrievalConfig(beta=0.25, delta_a=1e-3)
+    records, _ = runtime_scaling([64, 128, 256], d=4, beta=0.25, B=1.0, delta_a=1e-3, seed=0)
+    memory, queries = _instance([0, 128], 4, 128, 128)
+    assert queries.max_norm > memory.max_norm
+    certified = hopfield.retrieve_lowrank(memory, queries, cfg).error_bound
+    assert certified > hopfield.lowrank_error_bound(128, memory.max_norm, 1e-3)
+    assert records[1].bound_2MBdA == certified
+
+    (record,) = error_sweep([1e-3], d=4, M=16, L=16, seed=2)
+    memory, queries = _instance([2, 4, 16, 16], 4, 16, 16)
+    assert queries.max_norm > memory.max_norm
+    assert record.bound_2MBdA == hopfield.retrieve_lowrank(memory, queries, cfg).error_bound

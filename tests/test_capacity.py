@@ -332,3 +332,26 @@ def test_experiment_scoring_matches_per_trial_loop(monkeypatch, d, m, beta, seed
             successes += err <= row["eps"] and nearest == mu
         assert row["success_rate"] == successes / trials
         assert abs(row["mean_error"] - float(np.mean(errors))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: params(d=0), ValueError, "d and M must be >= 1"),
+        (lambda: params(M=0), ValueError, "d and M must be >= 1"),
+        (lambda: well_separation_threshold(params(M=1)), ValueError,
+         "well-separation needs M >= 2"),
+        (lambda: capacity_lower_bound(params(d=1)), ValueError, "d must be >= 2"),
+        # the margin 2 M B delta_a = 0.008 exceeds R
+        (lambda: capacity_lower_bound(params(R=0.005)), InfeasibleStorage,
+         "R = 0.005 must exceed 2*M*B*delta_a = 0.008"),
+        (lambda: run_capacity_experiment(4, 2.0, 1.0, [2], trials=1, perturbation=1.0),
+         ValueError, "perturbation must lie in (0, 1)"),
+    ],
+    ids=["zero-d", "zero-M", "separation-one-memory", "bound-d-1", "bound-margin-past-R",
+         "experiment-perturbation"],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message in str(excinfo.value)

@@ -186,6 +186,17 @@ def test_config_unknown_key_exits_1(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["subcommand", "config"])
+def test_config_cannot_pick_the_subcommand(tmp_path, capsys, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: "verify"}))
+    out = tmp_path / "p.json"
+    assert main(["approx-exp", "--config", str(conf), "--bound", "1",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"ValueError: unknown config key '{key}'")
+
+
 def test_bench_error_csv(tmp_path, capsys):
     out = tmp_path / "records.csv"
     assert main(["bench-error", "--delta-a-list", "1e-2,1e-3", "--M", "8",
@@ -215,6 +226,15 @@ def test_bench_scaling_csv_and_summary(tmp_path, capsys):
     assert report["records"] == 2
     printed = capsys.readouterr().out
     assert "dense slope" in printed and "lowrank slope" in printed
+
+
+def test_bench_scaling_empty_tau_list_exits_1(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["bench-scaling", "--tau", ",", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: tau list must not be empty")
+    assert "Traceback" not in err
 
 
 def test_bench_phase_csv_flags_an_exhausted_degree(tmp_path, capsys):
@@ -286,6 +306,17 @@ def test_reduction_planted_report(tmp_path, capsys):
         if truth != "indeterminate":
             assert report["verdicts"][j] == truth
     capsys.readouterr()
+
+
+def test_reduction_trial_loop_report(tmp_path, capsys):
+    out = tmp_path / "red.json"
+    assert main(["reduction", "--n", "4", "--trials", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["agreement_fraction"] == 1.0
+    assert [(t["trial"], t["kind"]) for t in report["per_trial"]] == [
+        (0, "case1-planted"), (1, "case2-planted"),
+    ]
+    assert "agreement 8/8 on promised queries" in capsys.readouterr().out
 
 
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):

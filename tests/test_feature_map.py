@@ -410,3 +410,19 @@ def test_certificate_covers_the_factored_form(delta_a, bound, degree, rank):
     assert np.max(np.abs(scores)) == pytest.approx(bound)
     rel = np.abs((u1 @ u2.T).astype(np.longdouble) * np.exp(-scores) - 1)
     assert np.max(rel) <= p.certified_rel_error
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_feature_map(poly_from_coeffs([1.0, 1.0]), 2).monomials(np.zeros((3, 3))),
+         DimensionMismatch, "expected shape (*, 2), got (3, 3)"),
+        (lambda: build_feature_map(poly_from_coeffs([1.0, 1.0]), 0), ValueError,
+         "d must be >= 1"),
+    ],
+    ids=["monomials-row-width", "zero-dimension"],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message in str(excinfo.value)

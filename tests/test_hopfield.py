@@ -929,3 +929,34 @@ def test_lowrank_trajectory_matches_fresh_memory_each_step():
         x = retrieve_lowrank(PatternMatrix(mem.data), batch, cfg).Z[:, 0]
         assert np.max(np.abs(point - x)) <= 1e-12
     assert len(traj.points) == 7
+
+
+def _three_by_four():
+    return PatternMatrix(np.arange(12.0).reshape(3, 4))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PatternMatrix(np.zeros((0, 3))), DimensionMismatch,
+         "pattern dimension must be >= 1"),
+        (lambda: RetrievalConfig(beta=0.0), ValueError, "beta must be positive"),
+        (lambda: RetrievalConfig(beta=1.0, delta_a=0.1), ValueError,
+         "delta_a must lie in (0, 0.1)"),
+        (lambda: lse(0.0, [1.0, 2.0]), ValueError, "beta must be positive"),
+        (lambda: pattern_radius(PatternMatrix(np.ones((3, 1)))), SingleMemory,
+         "pattern_radius needs at least two stored patterns"),
+        (lambda: retrieval_error_bound(_three_by_four(), np.zeros(2), 0, 1.0, 1.0, 1e-3),
+         DimensionMismatch, "query length 2 != d 3"),
+        (lambda: fixed_point_iterate(_three_by_four(), np.zeros(2), RetrievalConfig(beta=1.0), 3, 0.0),
+         DimensionMismatch, "query length 2 != d 3"),
+    ],
+    ids=[
+        "zero-rows", "config-beta", "config-delta", "lse-beta", "radius-single-memory",
+        "error-bound-query-length", "fixed-point-query-length",
+    ],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message in str(excinfo.value)

@@ -251,3 +251,22 @@ def test_rounding_term_refuses_fits_the_measured_error_passes(bound, delta_a, me
     assert np.max(measured) <= delta_a < poly_approx._rel_error_on(coeffs, grid)
     with pytest.raises(DegreeExhausted):
         fit_exp_poly(bound, delta_a)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ExpPolynomial((1.0, 0.0), 1, 1.0, 1e-2, 0.0), ValueError,
+         "leading coefficient must be nonzero"),
+        (lambda: ExpPolynomial((1.0, 1.0), 1, 0.0, 1e-2, 0.0), ValueError,
+         "interval_bound must be positive"),
+        (lambda: sup_relative_error(taylor_poly(4, 1.0, 1e-2), 1), ValueError,
+         "grid_points must be >= 2"),
+        (lambda: degree_bound(1.0, 0.2), ValueError, "delta_a must lie in (0, 0.1)"),
+    ],
+    ids=["zero-leading-coefficient", "zero-interval", "one-grid-point", "degree-bound-delta"],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message in str(excinfo.value)

@@ -1,11 +1,13 @@
 """Tests for the gap nearest-neighbor reduction and its brute-force oracles."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from linhop import reduction
 from linhop.errors import (
     CostCapExceeded,
     DegreeExhausted,
@@ -101,10 +103,11 @@ def test_scenario1_matches_distance_oracle():
         assert verdict == ("case1" if d2[i].min() < inst.t else "case2")
 
 
-def test_scenario1_cost_cap():
+def test_scenario1_cost_cap(monkeypatch):
+    monkeypatch.setattr(reduction, "SCENARIO1_COST_CAP", 10)
     inst = generate_balanced_instance(8, 10, t=9.0, delta=0.05, rng_seed=3)
     with pytest.raises(CostCapExceeded):
-        scenario1_brute_force(inst, cost_cap=10)
+        scenario1_brute_force(inst)
 
 
 def test_compute_params_invariants():
@@ -126,7 +129,7 @@ def test_compute_params_invariants():
 
 def test_compute_params_rejects_weak_constants():
     with pytest.raises(InvalidParams):
-        compute_params(16, 10, 4.0, 0.09, C_beta=1.0)
+        dataclasses.replace(compute_params(16, 10, 4.0, 0.09), C_beta=1.0)
 
 
 def test_build_instance_block_structure():
@@ -256,3 +259,34 @@ def test_verify_reduction_empty():
     report = verify_reduction(8, 8, 3.0, 0.09, trials=0)
     assert report["per_trial"] == []
     assert report["promised_queries"] == 0
+
+
+def _params_with(**changes):
+    return dataclasses.replace(compute_params(16, 10, 4.0, 0.09), **changes)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AnnsInstance(np.zeros((2, 4)), np.zeros((3, 4)), t=1.0, delta=0.05),
+         ValueError, "set_a and set_b must share shape (n, d)"),
+        (lambda: _params_with(C_alpha=1.0), InvalidParams, "C_alpha = 1.0 must exceed"),
+        (lambda: _params_with(B=30.0), InvalidParams,
+         "B^2 = 900.0 exceeds the floating-point cap"),
+        (lambda: _params_with(t_tilde=0.0), InvalidParams, "t_tilde = 0.0 < delta_h"),
+        (lambda: compute_params(1, 10, 4.0, 0.09), InvalidParams, "n must be >= 2"),
+        (lambda: solve_gap_anns_via_ahop(
+            generate_balanced_instance(4, 8, t=3.0, delta=0.09, rng_seed=4), solver="bogus"),
+         ValueError, "unknown solver 'bogus'"),
+        (lambda: generate_clustered_case2_instance(4, 9, 3.0, 0.09), InfeasiblePlant,
+         "d must be even for balanced rows"),
+        (lambda: generate_clustered_case2_instance(4, 8, 4.0, 0.09), InfeasiblePlant,
+         "cluster construction needs d - 4 >= (1+delta)*t"),
+    ],
+    ids=["instance-shapes", "weak-C-alpha", "B-squared-cap", "t-tilde-below-delta-h",
+         "one-point", "unknown-solver", "clustered-odd-d", "clustered-tight-d"],
+)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message in str(excinfo.value)
