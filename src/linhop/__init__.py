@@ -52,7 +52,6 @@ from .hopfield import (
     separation,
 )
 from .reduction import (
-    AConvention,
     AnnsInstance,
     CaseDecision,
     ReductionParams,

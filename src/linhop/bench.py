@@ -193,6 +193,8 @@ def error_sweep(
 ):
     """Measured max-norm error of the low-rank path per delta_a against the
     2 M B delta_a bound it certified, on one fixed random instance."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if beta is None:
         beta = 1.0 / d
     for da in delta_a_list:

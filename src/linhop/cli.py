@@ -67,6 +67,13 @@ def _parse_ints(text: str):
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _beta(args) -> float:
+    """--beta, or 1/d when it is not given; d below 1 is refused."""
+    if args.d < 1:
+        raise ValueError("d must be >= 1")
+    return args.beta if args.beta is not None else 1.0 / args.d
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linhop",
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduction", help="gap nearest-neighbor decision via retrieval")
     common(p)
     p.add_argument("--n", type=int, required=True, help="points per side")
-    p.add_argument("--d", type=int, default=None, help="binary dimension (default 8)")
+    p.add_argument("--d", type=int, default=8, help="binary dimension (default 8)")
     p.add_argument("--t", type=float, default=3.0, help="distance threshold (default 3)")
     p.add_argument("--delta", type=float, default=0.09, help="promise gap (default 0.09)")
     p.add_argument("--trials", type=int, default=2, help="alternating planted trials (default 2)")
@@ -211,9 +218,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_bench_scaling(args) -> int:
-    beta = args.beta if args.beta is not None else 1.0 / args.d
     records, slopes = bench.runtime_scaling(
-        args.tau, args.d, beta, args.B, args.delta_a, args.repeats, args.seed
+        args.tau, args.d, _beta(args), args.B, args.delta_a, args.repeats, args.seed
     )
     _atomic_write(args.out, lambda tmp: bench.records_to_csv(records, tmp))
     if args.summary:
@@ -225,7 +231,7 @@ def _cmd_bench_scaling(args) -> int:
 
 def _cmd_bench_error(args) -> int:
     records = bench.error_sweep(
-        args.delta_a_list, args.d, args.M, args.L, args.B, args.beta, args.seed
+        args.delta_a_list, args.d, args.M, args.L, args.B, _beta(args), args.seed
     )
     _atomic_write(args.out, lambda tmp: bench.records_to_csv(records, tmp))
     print(f"wrote {len(records)} records to {args.out}")
@@ -233,9 +239,8 @@ def _cmd_bench_error(args) -> int:
 
 
 def _cmd_bench_phase(args) -> int:
-    beta = args.beta if args.beta is not None else 1.0 / args.d
     records = bench.phase_sweep(
-        args.B_list, args.tau, args.d, beta, args.delta_a, args.degree_cap, args.seed
+        args.B_list, args.tau, args.d, _beta(args), args.delta_a, args.degree_cap, args.seed
     )
     _atomic_write(args.out, lambda tmp: bench.records_to_csv(records, tmp))
     print(f"wrote {len(records)} records to {args.out}")
@@ -243,8 +248,8 @@ def _cmd_bench_phase(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    beta = _beta(args)
     m = args.m if args.m is not None else math.sqrt(args.d)
-    beta = args.beta if args.beta is not None else 1.0 / args.d
     rows = capacity.run_capacity_experiment(
         args.d,
         m,
@@ -263,10 +268,9 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_reduction(args) -> int:
-    d = args.d if args.d is not None else 8
     if args.plant is not None:
         inst = reduction.planted_instance(
-            args.plant, args.n, d, args.t, args.delta, rng_seed=args.seed
+            args.plant, args.n, args.d, args.t, args.delta, rng_seed=args.seed
         )
         oracle = reduction.classify_queries(inst)
         decision = reduction.solve_gap_anns_via_ahop(inst, solver=args.solver)
@@ -274,7 +278,7 @@ def _cmd_reduction(args) -> int:
         agree = sum(1 for j in promised if decision.verdicts[j] == oracle[j])
         report = {
             "n": args.n,
-            "d": d,
+            "d": args.d,
             "t": args.t,
             "delta": args.delta,
             "plant": args.plant,
@@ -288,7 +292,7 @@ def _cmd_reduction(args) -> int:
         }
     else:
         report = reduction.verify_reduction(
-            args.n, d, args.t, args.delta, args.trials,
+            args.n, args.d, args.t, args.delta, args.trials,
             rng_seed=args.seed, solver=args.solver,
         )
     _atomic_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")

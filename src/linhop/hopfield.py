@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import struct
 import time
 from dataclasses import dataclass, field, replace
 
@@ -79,7 +78,7 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
-    """d x N matrix whose columns are patterns.
+    """d x N matrix whose columns are patterns, with d >= 1 and N >= 1.
 
     A memory-role matrix owns a read-only copy of its data, so its
     ``max_norm`` and ``pattern_norm_radius`` are computed once, and dense and
@@ -89,7 +88,6 @@ class PatternMatrix:
 
     data: np.ndarray
     role: str = "memory"
-    allow_empty: bool = False
 
     def __post_init__(self):
         if self.role not in ("memory", "query"):
@@ -99,7 +97,7 @@ class PatternMatrix:
             raise DimensionMismatch("pattern data must be a 2-D array")
         if data.shape[0] < 1:
             raise DimensionMismatch("pattern dimension must be >= 1")
-        if data.shape[1] < 1 and not self.allow_empty:
+        if data.shape[1] < 1:
             raise DimensionMismatch("at least one pattern required")
         if self.role == "memory":
             data = _frozen_copy(data)
@@ -108,7 +106,7 @@ class PatternMatrix:
     def __reduce__(self):
         # copies and unpickling rebuild through __post_init__, so a memory
         # copy owns read-only data and carries no derived values
-        return type(self), (self.data, self.role, self.allow_empty)
+        return type(self), (self.data, self.role)
 
     @property
     def d(self) -> int:
@@ -122,7 +120,7 @@ class PatternMatrix:
     def max_norm(self) -> float:
         value = self.__dict__.get("_max_norm")
         if value is None:
-            value = float(abs(self.data).max()) if self.data.size else 0.0
+            value = float(abs(self.data).max())
             if self.role == "memory":
                 self.__dict__["_max_norm"] = value
         return value
@@ -160,30 +158,10 @@ class PatternMatrix:
                         )
             except ValueError as exc:
                 raise MalformedPatternFile(f"{path}:{lineno}: {exc}") from None
-        data = np.array(rows, dtype=float).reshape(len(rows), d).T
-        return cls(_require_finite(data, path), role=role, allow_empty=True)
-
-    def to_binary(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sII4x", b"AHOP", self.d, self.count))
-            fh.write(self.data.T.astype("<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path, role: str = "memory") -> "PatternMatrix":
-        with open(path, "rb") as fh:
-            header = fh.read(16)
-            if len(header) < 16 or header[:4] != b"AHOP":
-                raise MalformedPatternFile(f"{path}: no AHOP header (bad magic or short file)")
-            _, d, n = struct.unpack("<4sII4x", header)
-            payload = fh.read(8 * d * n)
-        if len(payload) < 8 * d * n:
-            raise MalformedPatternFile(
-                f"{path}: header says {d}x{n} = {d * n} entries, "
-                f"file holds {len(payload) // 8}"
-            )
-        # a read-only view of the payload; a memory role copies it once
-        data = np.frombuffer(payload, dtype="<f8").reshape(n, d).T
-        return cls(_require_finite(data, path), role=role, allow_empty=True)
+        if not rows:
+            raise EmptyVector(f"{path}: no patterns")
+        data = np.array(rows, dtype=float).T
+        return cls(_require_finite(data, path), role=role)
 
 
 def _frozen_copy(data: np.ndarray) -> np.ndarray:
@@ -269,10 +247,6 @@ def _check_dims(memory: PatternMatrix, queries: PatternMatrix) -> None:
         raise DimensionMismatch(
             f"memory d={memory.d} but queries d={queries.d}"
         )
-    if memory.count == 0:
-        raise EmptyVector("retrieval needs at least one stored pattern")
-    if queries.count == 0:
-        raise EmptyVector("retrieval needs at least one query")
 
 
 # The bound shift leaves a column's largest weight at least
@@ -295,7 +269,7 @@ def _dense_side(patterns: PatternMatrix):
     p1 = _frozen_copy(np.vstack([data, np.ones((1, data.shape[1]))]))
     norms = np.hypot.reduce(data, axis=0)
     norms.flags.writeable = False
-    kept = (p1, norms, float(norms.max()) if norms.size else 0.0)
+    kept = (p1, norms, float(norms.max()))
     if patterns.role == "memory":
         patterns.__dict__["_dense_side"] = kept
     return kept

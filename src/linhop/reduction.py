@@ -3,17 +3,17 @@ oracles.
 
 The construction embeds two sets of n balanced binary vectors into a
 2d x 2n memory/query pair, runs row-normalized retrieval, and thresholds the
-last output row at twice a separation value t_tilde.  The analysis declares
-the bottom-left block of the score matrix to be zero even though the literal
-exponentials there equal one; both conventions are implemented
-(``AS_WRITTEN`` zeroes the block, ``LITERAL`` keeps the true values) and
-``AS_WRITTEN`` is the default used for verification.
+last output row at twice a separation value t_tilde.  The score matrix is
+the one the analysis prints, not the entrywise exp(beta Xi^T X): its right
+half is the constant e^{B^2} and its bottom-left block is zero.  The literal
+exponentials differ in both places: the bottom-left inner products are 0, so
+those entries equal one, and the right-half inner products give e^{B^2/2}.
+Under the literal values the threshold algebra cannot hold, so every solver
+builds the printed matrix (``score_matrix``).
 """
 
 from __future__ import annotations
 
-import enum
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,20 +30,11 @@ from .hopfield import (
     PatternMatrix,
     RetrievalConfig,
     _lowrank,
-    retrieve_lowrank,
 )
 
 # e^(B^2) must stay below ~1e300 so row sums remain finite
 MAX_B_SQUARED = math.log(1e300)
 SCENARIO1_COST_CAP = 10**7
-
-
-class AConvention(enum.Enum):
-    # reproduce the analysis' printed score matrix: zero bottom-left block and
-    # constant e^{B^2} off/bottom-right blocks (the literal inner products
-    # there give e^{B^2/2}, under which the threshold algebra cannot hold)
-    AS_WRITTEN = "as_written"
-    LITERAL = "literal"  # plain entrywise exp of the actual scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,20 +81,6 @@ class AnnsInstance:
         """n x n matrix of squared distances ||a_i - b_j||^2."""
         diff = self.set_a[:, None, :] - self.set_b[None, :, :]
         return np.sum(diff * diff, axis=2)
-
-    def save(self, a_path, b_path, meta_path) -> None:
-        np.savetxt(a_path, self.set_a, fmt="%d", delimiter=",")
-        np.savetxt(b_path, self.set_b, fmt="%d", delimiter=",")
-        with open(meta_path, "w") as fh:
-            json.dump({"n": self.n, "d": self.d, "t": self.t, "delta": self.delta}, fh)
-
-    @classmethod
-    def load(cls, a_path, b_path, meta_path) -> "AnnsInstance":
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        a = np.loadtxt(a_path, dtype=np.int64, delimiter=",", ndmin=2)
-        b = np.loadtxt(b_path, dtype=np.int64, delimiter=",", ndmin=2)
-        return cls(a, b, t=meta["t"], delta=meta["delta"])
 
 
 @dataclass(frozen=True)
@@ -258,29 +235,23 @@ class CaseDecision:
 
 
 def score_matrix(
-    memory: PatternMatrix,
-    queries: PatternMatrix,
-    params: ReductionParams,
-    convention: AConvention,
+    memory: PatternMatrix, queries: PatternMatrix, params: ReductionParams
 ) -> np.ndarray:
-    """The 2n x 2n positive score matrix the decision statistic normalizes."""
+    """The 2n x 2n nonnegative score matrix the decision statistic
+    normalizes, as the analysis prints it: exp(beta Xi^T X) in the top-left
+    block, the constant e^{B^2} in the right half, zero bottom-left."""
     n = params.n
     s = params.beta * (memory.data.T @ queries.data)
     a = np.exp(s)  # exponents bounded by B^2 < 700, no overflow
-    if convention is AConvention.AS_WRITTEN:
-        block = math.exp(params.B**2)
-        a[:, n:] = block
-        a[n:, :n] = 0.0
+    a[:, n:] = math.exp(params.B**2)
+    a[n:, :n] = 0.0
     return a
 
 
 def _dense_statistic(
-    memory: PatternMatrix,
-    queries: PatternMatrix,
-    params: ReductionParams,
-    convention: AConvention,
+    memory: PatternMatrix, queries: PatternMatrix, params: ReductionParams
 ) -> np.ndarray:
-    a = score_matrix(memory, queries, params, convention)
+    a = score_matrix(memory, queries, params)
     row_sums = a.sum(axis=1)
     z = memory.data @ (a / row_sums[:, None])
     # the analysis takes the last memory row as plain ones; divide out B
@@ -291,14 +262,11 @@ def _lowrank_statistic(
     memory: PatternMatrix,
     queries: PatternMatrix,
     params: ReductionParams,
-    convention: AConvention,
     cfg: RetrievalConfig,
 ) -> np.ndarray:
     n = params.n
-    if convention is AConvention.LITERAL:
-        return retrieve_lowrank(memory, queries, cfg).Z[-1, :] / params.B
-    # as-written: only the top-left block comes from the factorization; the
-    # right half is the constant e^{B^2} and the bottom-left block is zero
+    # only the top-left block comes from the factorization; the right half is
+    # the constant e^{B^2} and the bottom-left block is zero
     block = math.exp(params.B**2)
     top_mem = PatternMatrix(memory.data[:, :n], role="memory")
     left_qry = PatternMatrix(queries.data[:, :n], role="query")
@@ -313,19 +281,15 @@ def _lowrank_statistic(
     return z[-1, :] / params.B
 
 
-def solve_gap_anns_via_ahop(
-    inst: AnnsInstance,
-    solver: str = "dense",
-    convention: AConvention = AConvention.AS_WRITTEN,
-) -> CaseDecision:
+def solve_gap_anns_via_ahop(inst: AnnsInstance, solver: str = "dense") -> CaseDecision:
     """Threshold the last retrieval row at 2 t_tilde to decide, for each
     j in [n], whether some a_i lies within distance t of b_j."""
     memory, queries, params = build_ahop_instance(inst)
     if solver == "dense":
-        stat = _dense_statistic(memory, queries, params, convention)
+        stat = _dense_statistic(memory, queries, params)
     elif solver == "lowrank":
         cfg = RetrievalConfig(beta=params.beta, normalization=Normalization.MEMORY)
-        stat = _lowrank_statistic(memory, queries, params, convention, cfg)
+        stat = _lowrank_statistic(memory, queries, params, cfg)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     threshold = 2.0 * params.t_tilde
@@ -426,9 +390,11 @@ def verify_reduction(
     rng_seed: int = 0,
     solver: str = "dense",
 ) -> dict:
-    """Run planted case-1 and case-2 instances through the pipeline, under
-    the AS_WRITTEN convention, and report agreement with the brute-force
-    oracle on promised queries."""
+    """Run planted case-1 and case-2 instances through the pipeline, with
+    the score matrix as the analysis prints it, and report agreement with the
+    brute-force oracle on promised queries."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     report = {
         "n": n,
         "d": d,
@@ -436,7 +402,7 @@ def verify_reduction(
         "delta": delta,
         "trials": trials,
         "solver": solver,
-        "convention": AConvention.AS_WRITTEN.value,
+        "convention": "as_written",
         "promised_queries": 0,
         "agreements": 0,
         "disagreements": [],

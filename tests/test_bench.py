@@ -83,6 +83,11 @@ def test_error_sweep_rejects_bad_delta():
         error_sweep([0.5], d=4)
 
 
+def test_error_sweep_rejects_d_below_1():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        error_sweep([1e-3], d=0)
+
+
 def test_phase_sweep_records_failures():
     records = phase_sweep([0.5, 1.0, 6.0], tau=16, d=4, beta=1.0, delta_a=1e-3,
                           degree_cap=8, seed=0)

@@ -237,6 +237,32 @@ def test_bench_scaling_empty_tau_list_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["capacity", "--d", "0", "--M-list", "2"], None, "d must be >= 1"),
+        (["bench-scaling", "--tau", "16", "--d", "0"], None, "d must be >= 1"),
+        (["bench-phase", "--B-list", "0.5", "--d", "0"], None, "d must be >= 1"),
+        (["bench-error", "--delta-a-list", "1e-3", "--d", "0"], None, "d must be >= 1"),
+        (["bench-phase", "--B-list", "0.5"], {"d": 0}, "d must be >= 1"),
+        (["reduction", "--n", "4", "--trials", "-1"], None, "trials must be >= 0, got -1"),
+    ],
+    ids=["capacity", "bench-scaling", "bench-phase", "bench-error", "config-d",
+         "reduction-trials"],
+)
+def test_out_of_range_counts_exit_1(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "out"
+    if config is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        argv = argv + ["--config", str(conf)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"ValueError: {message}")
+    assert "Traceback" not in err
+
+
 def test_bench_phase_csv_flags_an_exhausted_degree(tmp_path, capsys):
     out = tmp_path / "phase.csv"
     assert main(["bench-phase", "--B-list", "0.5,3", "--tau", "8", "--d", "2",

@@ -16,7 +16,6 @@ from linhop.errors import (
 )
 from linhop.hopfield import Normalization, PatternMatrix, RetrievalConfig
 from linhop.reduction import (
-    AConvention,
     AnnsInstance,
     brute_force_anns,
     build_ahop_instance,
@@ -47,16 +46,6 @@ def test_instance_validation():
         AnnsInstance(np.array([[0, 1]]), np.array([[0, 1]]), t=0.0, delta=0.05)
     with pytest.raises(ValueError):
         AnnsInstance(np.array([[0, 1]]), np.array([[0, 1]]), t=1.0, delta=0.5)
-
-
-def test_instance_save_load(tmp_path):
-    inst = small_instance()
-    a, b, meta = tmp_path / "A.csv", tmp_path / "B.csv", tmp_path / "meta.json"
-    inst.save(a, b, meta)
-    back = AnnsInstance.load(a, b, meta)
-    assert np.array_equal(back.set_a, inst.set_a)
-    assert np.array_equal(back.set_b, inst.set_b)
-    assert back.t == inst.t and back.delta == inst.delta
 
 
 def test_brute_force_identical_sets():
@@ -140,12 +129,13 @@ def test_build_instance_block_structure():
     assert queries.data.shape == (2 * d, 2 * n)
     assert memory.max_norm <= b + 1e-12
     assert queries.max_norm <= b + 1e-12
-    # literal bottom-left block entries are all exp(0) = 1
-    literal = score_matrix(memory, queries, params, AConvention.LITERAL)
+    # the literal bottom-left block entries are all exp(0) = 1
+    literal = np.exp(params.beta * (memory.data.T @ queries.data))
     assert np.allclose(literal[n:, :n], 1.0, atol=1e-12)
-    # the declared convention patches the right half to a constant and zeroes
-    # the bottom-left block
-    patched = score_matrix(memory, queries, params, AConvention.AS_WRITTEN)
+    # the score matrix as the analysis prints it patches the right half to a
+    # constant and zeroes the bottom-left block
+    patched = score_matrix(memory, queries, params)
+    assert np.array_equal(patched[:n, :n], literal[:n, :n])
     assert np.allclose(patched[:, n:], math.exp(b**2))
     assert np.all(patched[n:, :n] == 0.0)
 
@@ -154,7 +144,7 @@ def test_build_instance_row_sum_bounds():
     inst = generate_balanced_instance(4, 8, t=3.0, delta=0.09, rng_seed=5)
     memory, queries, params = build_ahop_instance(inst)
     n = inst.n
-    a = score_matrix(memory, queries, params, AConvention.AS_WRITTEN)
+    a = score_matrix(memory, queries, params)
     top_sums = a[:n].sum(axis=1)
     block = math.exp(params.B**2)
     assert np.all(top_sums >= n * block)
@@ -191,23 +181,21 @@ def test_lowrank_solver_degree_exhausted():
     # the valid reduction constants force an exp fit interval of B^2, far
     # beyond what the degree cap can certify at the required relative error
     inst = generate_balanced_instance(8, 8, t=3.0, delta=0.09, rng_seed=8)
-    for convention in AConvention:
-        with pytest.raises(DegreeExhausted):
-            solve_gap_anns_via_ahop(inst, solver="lowrank", convention=convention)
+    with pytest.raises(DegreeExhausted):
+        solve_gap_anns_via_ahop(inst, solver="lowrank")
 
 
 def test_lowrank_statistic_matches_dense_on_bounded_scores():
-    # bounded scores keep the fit feasible, so both conventions' factored
-    # statistics can be checked against the dense ones
+    # bounded scores keep the fit feasible, so the factored statistic can be
+    # checked against the dense one
     rng = np.random.default_rng(9)
     params = SimpleNamespace(n=40, B=1.0, beta=0.2)
     memory = PatternMatrix(rng.uniform(-1, 1, (5, 80)))
     queries = PatternMatrix(rng.uniform(-1, 1, (5, 80)), role="query")
     cfg = RetrievalConfig(beta=params.beta, normalization=Normalization.MEMORY)
-    for convention in AConvention:
-        low = _lowrank_statistic(memory, queries, params, convention, cfg)
-        dense = _dense_statistic(memory, queries, params, convention)
-        assert np.max(np.abs(low - dense)) <= 2 * cfg.delta_a
+    low = _lowrank_statistic(memory, queries, params, cfg)
+    dense = _dense_statistic(memory, queries, params)
+    assert np.max(np.abs(low - dense)) <= 2 * cfg.delta_a
 
 
 def test_planted_instance_kinds():
@@ -282,9 +270,12 @@ def _params_with(**changes):
          "d must be even for balanced rows"),
         (lambda: generate_clustered_case2_instance(4, 8, 4.0, 0.09), InfeasiblePlant,
          "cluster construction needs d - 4 >= (1+delta)*t"),
+        (lambda: verify_reduction(4, 8, 3.0, 0.09, trials=-1), ValueError,
+         "trials must be >= 0, got -1"),
     ],
     ids=["instance-shapes", "weak-C-alpha", "B-squared-cap", "t-tilde-below-delta-h",
-         "one-point", "unknown-solver", "clustered-odd-d", "clustered-tight-d"],
+         "one-point", "unknown-solver", "clustered-odd-d", "clustered-tight-d",
+         "negative-trials"],
 )
 def test_bad_input_is_refused(call, error, message):
     with pytest.raises(error) as excinfo:
