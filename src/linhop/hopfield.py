@@ -492,7 +492,7 @@ def retrieve_lowrank(
     start = time.perf_counter()
     poly, fmap, b, norm, parts = _lowrank(memory, queries, cfg)
     by_rows = cfg.normalization is Normalization.MEMORY
-    if np.any(norm <= 0):
+    if (norm <= 0).any():
         raise NonPositiveNormalizer(
             f"approximated {'row' if by_rows else 'column'} normalizer "
             "has a non-positive entry"

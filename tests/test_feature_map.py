@@ -391,9 +391,11 @@ def test_exactness_sweep():
 @pytest.mark.parametrize(
     "delta_a, bound, degree, rank",
     [
-        (1e-3, 1e-6 * 1.25**73, 29, 40920),
+        # b = 1.02: the batch, stream and criterion 6 interval
+        (1e-3, 1e-6 * 1.25**62, 4, 70),
+        (1e-3, 1e-6 * 1.25**73, 19, 8855),
         # the largest snapped interval that is feasible at delta_a = 1e-6
-        (1e-6, 1e-6 * 1.25**71, 23, 17550),
+        (1e-6, 1e-6 * 1.25**71, 18, 7315),
     ],
 )
 def test_certificate_covers_the_factored_form(delta_a, bound, degree, rank):

@@ -573,9 +573,9 @@ def test_lowrank_memory_assembly_matches_factor_scaling():
     [
         # interval beta d B^2 = 64 needs more than degree 8
         (4, 4.0, RetrievalConfig(beta=1.0, max_degree=8), DegreeExhausted),
-        # interval 64 * (1/8)^2 = 1 fits at degree 5, but its d = 64 rank
-        # C(69, 5) = 11,238,513 exceeds the default cap
-        (64, 0.125, RetrievalConfig(beta=1.0), SizeOverflow),
+        # interval 256 * (1/16)^2 = 1 fits at degree 4, but its d = 256 rank
+        # C(260, 4) = 186,043,585 exceeds the default cap
+        (256, 0.0625, RetrievalConfig(beta=1.0), SizeOverflow),
     ],
 )
 def test_failed_fit_is_not_repeated(monkeypatch, d, entry, cfg, error):
@@ -724,11 +724,12 @@ def test_one_column_query_builds_its_monomials_by_gathers(monkeypatch):
 def test_query_blocks_start_on_a_64_byte_boundary(monkeypatch):
     # the prefix loop's speed over a large block depends on its offset, and
     # malloc's offset on the process's allocation history.  Rank 126 blocks
-    # keep one monomial per buffer row; 5-row blocks at rank 12,870 are
-    # laid out row-major, so U is the C-ordered block itself
+    # (degree 5 at d = 4) keep one monomial per buffer row; 5-row blocks at
+    # rank 12,870 (degree 8 at d = 8) are laid out row-major, so U is the
+    # C-ordered block itself
     for d, bound, rank, step, row_major in (
-        (4, 1.0, 126, 200, False),
-        (8, 2.25, 12870, 5, True),
+        (4, 1.5, 126, 200, False),
+        (8, 3.0, 12870, 5, True),
     ):
         fmap = fm.build_feature_map(poly_approx.fit_exp_poly(bound, 1e-3), d)
         assert fmap.rank == rank
@@ -742,11 +743,11 @@ def test_query_blocks_start_on_a_64_byte_boundary(monkeypatch):
 
 
 def test_high_rank_query_retrieval_agrees_in_both_block_orders(monkeypatch):
-    # B = 1.5 at d = 8, beta = 1/8 fits degree 8 (rank 12,870), and 5-row
+    # B = 1.75 at d = 8, beta = 1/8 fits degree 8 (rank 12,870), and 5-row
     # blocks are laid out row-major by default
     rng = np.random.default_rng(47)
-    mem = random_patterns(rng, 8, 40, b=1.5)
-    q = random_patterns(rng, 8, 23, b=1.5, role="query")
+    mem = random_patterns(rng, 8, 40, b=1.75)
+    q = random_patterns(rng, 8, 23, b=1.75, role="query")
     cfg = RetrievalConfig(beta=1 / 8)
     monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", 12870 * 5)
     dense = retrieve_dense(mem, q, cfg)
@@ -833,7 +834,7 @@ def test_query_retrieval_holds_one_block():
     rng = np.random.default_rng(36)
     mem = random_patterns(rng, 8, 2048)
     q = random_patterns(rng, 8, 2048, role="query")
-    cfg = RetrievalConfig(beta=0.3)
+    cfg = RetrievalConfig(beta=0.35)
     _, fmap, _ = hopfield._fit(mem, q, cfg)
     assert fmap.rank == 12870
     rows = hopfield.FACTOR_BLOCK_ELEMENTS // fmap.rank

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from linhop import poly_approx
 from linhop.errors import DegreeExhausted, InvalidBound
@@ -186,16 +187,100 @@ def convert_route_fit(bound, delta_a, max_degree=32):
 
 @pytest.mark.parametrize("delta_a", [1e-2, 1e-3, 1e-6])
 def test_fit_matches_convert_route(delta_a):
+    # the Chebyshev stage, where the exchange starts, is the loop as it was
+    # written with convert; where that loop exhausts, so does the fit
     for bound in (1e-3, 0.05, 0.7, 3.0, 9.5, 24.0, 110.5, 200.0, 800.0):
+        grid = np.linspace(-bound, bound, poly_approx.GRID_POINTS)
+        stage = poly_approx._chebyshev_fit(bound, delta_a, 32, grid)
         try:
             expected = convert_route_fit(bound, delta_a)
         except DegreeExhausted as exc:
+            assert stage is None
             with pytest.raises(DegreeExhausted) as info:
                 fit_exp_poly(bound, delta_a)
             assert str(info.value) == str(exc)
             continue
+        degree, coeffs, err = stage
+        assert (degree, tuple(float(c) for c in coeffs), err) == expected
+        assert fit_exp_poly(bound, delta_a).degree <= degree
+
+
+def test_horner_pair_is_bit_identical_to_polyval():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in (1e-6, 1e-3, 1.02, 4.86, 14.0, 200.0, 1e4):
+            x = np.linspace(-b, b, poly_approx.GRID_POINTS)
+            for degree in (1, 2, 5, 13, 32):
+                cheb = Chebyshev.interpolate(np.exp, degree, domain=[-b, b])
+                coeffs = poly_approx._cheb_to_power(cheb)
+                pair = poly_approx._horner_pair(coeffs, x)
+                value = polyval(x, coeffs)
+                rounding = polyval(np.abs(x), np.abs(coeffs))
+                assert pair[0].tobytes() == value.tobytes(), (b, degree)
+                assert pair[1].tobytes() == rounding.tobytes(), (b, degree)
+                # the certificate combines them in the order it always has
+                err = np.abs(value * np.exp(-x) - 1.0)
+                err += poly_approx._gamma(2 * len(coeffs)) * rounding * np.exp(-x)
+                err = np.where(np.isnan(err), np.inf, err)
+                assert poly_approx._rel_error_on(coeffs, x) == float(np.max(err))
+
+
+# the fit intervals of hopfield's snapping grid, from 1e-6 to past the
+# floor at every delta_a below (b = 1e-6 * 1.25**79 is about 46)
+SNAPPED = [1e-6 * 1.25**k for k in range(80)]
+
+
+@pytest.mark.parametrize("delta_a", [1e-2, 1e-3, 1e-6])
+def test_exchange_lowers_no_degree_above_the_chebyshev_stage(monkeypatch, delta_a):
+    exchanges = []
+    remez = poly_approx._remez
+    monkeypatch.setattr(
+        poly_approx, "_remez", lambda weighted: exchanges.append(1) or remez(weighted)
+    )
+    for bound in SNAPPED:
+        grid = np.linspace(-bound, bound, poly_approx.GRID_POINTS)
+        stage = None
+        if bound <= poly_approx._rounding_floor(delta_a):
+            stage = poly_approx._chebyshev_fit(bound, delta_a, 32, grid)
+        exchanges.clear()
+        if stage is None:
+            with pytest.raises(DegreeExhausted):
+                fit_exp_poly(bound, delta_a)
+            assert exchanges == []  # a failed fit runs no exchange
+            continue
         p = fit_exp_poly(bound, delta_a)
-        assert (p.degree, p.coeffs, p.certified_rel_error) == expected
+        assert p.degree <= stage[0]
+        assert p.certified_rel_error <= delta_a
+        assert p.certified_rel_error == sup_relative_error(p, poly_approx.GRID_POINTS)
+        again = fit_exp_poly(bound, delta_a)
+        assert (again.degree, again.coeffs) == (p.degree, p.coeffs)
+
+
+@pytest.mark.parametrize(
+    "bound, delta_a, max_degree, chebyshev_degree, degree",
+    [
+        (1e-6 * 1.25**62, 1e-3, 32, 5, 4),  # b = 1.02: batch, stream, criterion 6
+        (1e-6 * 1.25**66, 1e-3, 32, 8, 7),  # phase sweep B = 1.5
+        (1e-6 * 1.25**69, 1e-3, 16, 13, 10),  # phase sweep B = 2.0
+        (1e-6 * 1.25**69, 1e-6, 32, 17, 14),
+    ],
+)
+def test_exchange_degrees(bound, delta_a, max_degree, chebyshev_degree, degree):
+    grid = np.linspace(-bound, bound, poly_approx.GRID_POINTS)
+    assert poly_approx._chebyshev_fit(bound, delta_a, max_degree, grid)[0] == chebyshev_degree
+    assert fit_exp_poly(bound, delta_a, max_degree).degree == degree
+
+
+def test_exchange_does_not_widen_feasibility(monkeypatch):
+    # phase sweep B = 2.5: b = 7.6 needs Chebyshev degree 19, over the cap of
+    # 16, although the exchange reaches degree 14 under the default cap
+    bound = 1e-6 * 1.25**71
+    assert fit_exp_poly(bound, 1e-3).degree == 14
+    monkeypatch.setattr(poly_approx, "_remez", lambda weighted: pytest.fail("exchange ran"))
+    with pytest.raises(DegreeExhausted) as info:
+        fit_exp_poly(bound, 1e-3, 16)
+    assert str(info.value) == (
+        f"no degree <= 16 reaches relative error 0.001 on [-{bound}, {bound}]"
+    )
 
 
 def _counting_interpolate(monkeypatch):
