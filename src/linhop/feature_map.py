@@ -57,34 +57,45 @@ reused, two runs:
 No single ratio separates the two orders: row-major also won on the largest
 blocks at 461 and 1,374, but lost up to 1.26x on small blocks near 1,500.
 2,048 is the power of two above which it lost by more than 3% on no block
-measured.  Blocks built by gathers keep one monomial per row, where
-row-major ran 2.7-5.7x slower.
+measured.
 
 That prefix loop makes g d numpy calls whatever n is, and at a few rows each
-call costs its overhead, not its arithmetic.  So a small block, rank x n at
-most ``GATHER_BLOCK_ELEMENTS``, is built with one multiplication per level
-instead: the parents of level t+1, gathered from level t, times the gathered
-variable rows.  Each monomial keeps the parent and the variable the prefix
-loop gives it, so both forms compute the same products of the same operands
-and return the same bits.  The gather plan is derived from the prefix plan on
-a map's first small block and kept on the map.  Above the constant the
-gathered level-sized temporaries cost more than the calls they save.  Median
-microseconds per block on a 2-vCPU Xeon, out buffer reused:
+call costs its overhead, not its arithmetic.  So a small block is built by
+one fold instead.  Each monomial's chain lists the variables the prefix loop
+multiplies along its line of parents, padded with the index of a row of
+ones up to length max(g, 1).  One ``take`` of [rows.T; 1] gathers every
+chain, and one ``np.multiply.reduce`` over the chain axis folds them from
+the left, in the prefix loop's order.  Multiplying by 1.0 is exact, so both
+forms compute the same products of the same operands and return the same
+bits.  The chains are derived from the prefix plan on a map's first small
+block and kept on the map.  The fold makes g multiplications per monomial
+where the loop makes one, so it wins only while the block is small: its
+gathered chains, max(g, 1) x rank x n entries, at most
+``GATHER_BLOCK_ELEMENTS``.  Median microseconds per block on a 2-vCPU Xeon,
+out buffer reused, two runs (one at degree 1):
 
-    d   g   rank    rows   rank x rows   prefix loop   gather
-    8   2      45      1            45            35        8
-    8   2      45    364        16,380            62       34
-    8   2      45    728        32,760            79      215
-    4   5     126      1           126            46        9
-    4   5     126    130        16,380            72       41
-    4   5     126    520        65,520            95       81
-    8   5   1,287      1         1,287            75       13
-    8   5   1,287     12        15,444           102       39
-    4  13   2,380      1         2,380           114       45
-    4  13   2,380      6        14,280           175       80
+    d   g    rank    rows   chain entries   prefix loop    fold
+    4   4      70       1             280         27-45     5-9
+    4   5     126       1             630         55-57      10
+    4  13   2,380       1          30,940        82-138      32
+    8   7   6,435       1          45,045         78-85   47-51
+    4   4      70     117          32,760         50-57   25-30
+    4   4      70     234          65,520         60-63   44-46
+    4   2      15   1,092          32,760         26-40   27-36
+    4   2      15   2,184          65,520         33-48   51-63
+    1  13      14     180          32,760         26-49   17-24
+    8   2      45     364          32,760         37-56   26-33
+    8   2      45     728          65,520         44-66   47-57
+    8   5   1,287       5          32,175        74-104   34-38
+   64   2   2,145       7          30,030       206-211   29-31
+    4   1       5   6,553          32,765            38      49
+    8   1       9   3,640          32,760            40      66
 
-At 2^15 elements the gather form lost 2.7x at rank 45, so 2^14 is the largest
-power of two where it won at every rank measured.
+At 2^16 entries the fold lost 1.3-1.6x at rank 15, so 2^15 is the largest
+power of two where it won or tied on every map of degree 2 and up measured.
+At degree 1 the prefix loop is d calls of one copy each, and the fold lost
+up to 1.8x at a few thousand rows; the fits give degree 1 only on intervals
+under about 0.05.
 """
 
 from __future__ import annotations
@@ -100,10 +111,11 @@ from .poly_approx import ExpPolynomial
 # the largest rank build_feature_map builds; a larger map raises SizeOverflow
 RANK_CAP = 10**6
 
-# the largest block (rank x rows) built by gathers rather than by the prefix
-# loop, and the rank / rows above which a larger block is laid out row-major;
-# both measured in the module docstring
-GATHER_BLOCK_ELEMENTS = 2**14
+# the most chain entries (max(g, 1) x rank x rows) of a block built by one
+# fold of gathered variables rather than by the prefix loop, and the rank /
+# rows above which a larger block is laid out row-major; both measured in
+# the module docstring
+GATHER_BLOCK_ELEMENTS = 2**15
 ROW_MAJOR_RATIO = 2048
 
 
@@ -124,11 +136,13 @@ def _aligned_empty(shape) -> np.ndarray:
 
 def _monomial_buffer(rank: int, rows: int) -> np.ndarray:
     """An uninitialized rank x rows ``out`` for ``MonomialFeatureMap.monomials``
-    on a 64-byte boundary.  A block the prefix loop builds whose rank exceeds
-    ``ROW_MAJOR_RATIO`` times its rows is the transpose of a rows x rank C
-    array, so each multiply runs along a run of a level rather than along
-    the few rows; any other block is a C array, one monomial per row."""
-    if rank > ROW_MAJOR_RATIO * rows and rank * rows > GATHER_BLOCK_ELEMENTS:
+    on a 64-byte boundary.  A block whose rank exceeds ``ROW_MAJOR_RATIO``
+    times its rows is the transpose of a rows x rank C array, so each
+    multiply of the prefix loop runs along a run of a level rather than
+    along the few rows; any other block is a C array, one monomial per row.
+    A block the fold builds past that ratio has at most 3 rows (1 from
+    degree 4 up), where the two orders differ only in their strides."""
+    if rank > ROW_MAJOR_RATIO * rows:
         return _aligned_empty((rows, rank)).T
     return _aligned_empty((rank, rows))
 
@@ -145,8 +159,8 @@ class MonomialFeatureMap:
     rank: int
     # build plan: _prefixes[t][k] is how many leading indices of degree t
     # are multiplied by variable d-1-k to give the next run of degree t+1.
-    # The gather form's plan is derived from it on first use and kept in
-    # __dict__["_gather"]
+    # The fold's chain plan is derived from it on first use and kept in
+    # __dict__["_chains"]
     _prefixes: tuple = field(repr=False)
 
     def monomials(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -157,13 +171,15 @@ class MonomialFeatureMap:
         in one of two orders: rank-major, with contiguous rows (one monomial
         per row, so the result is Fortran-ordered), or row-major, the
         transpose of an m x rank C array (the result is C-ordered).  A
-        caller walking rows in blocks reuses one buffer.  A block of at most
-        ``GATHER_BLOCK_ELEMENTS`` entries takes one multiplication per level,
-        of gathered parents by gathered variables; a larger one takes one per
-        run, of a contiguous slice of the level before it by one variable of
-        ``rows.T``, copied only if it is not already C-contiguous.  Both write
-        in place and give the same bits."""
-        rows = np.asarray(rows, dtype=float)
+        caller walking rows in blocks reuses one buffer.  A block whose
+        chains (max(g, 1) x rank x n) hold at most ``GATHER_BLOCK_ELEMENTS``
+        entries is one fold over the gathered variables of every monomial's
+        chain; a larger one takes one multiplication per run, of a
+        contiguous slice of the level before it by one variable of
+        ``rows.T``, copied only if it is not already C-contiguous.  Both
+        write in place and give the same bits."""
+        if type(rows) is not np.ndarray or rows.dtype != float:
+            rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise DimensionMismatch(
                 f"expected shape (*, {self.d}), got {rows.shape}"
@@ -185,19 +201,16 @@ class MonomialFeatureMap:
             out = out[:, : rows.shape[0]]
         if not rows.shape[0]:
             return out.T
-        out[0] = 1.0
-        if self.rank * rows.shape[0] <= GATHER_BLOCK_ELEMENTS:
-            plan = self.__dict__.get("_gather")
-            if plan is None:
-                plan = self.__dict__["_gather"] = _gather_plan(self.d, self._prefixes)
-            cols, dst = rows.T, 1
-            for parents, variables in plan:
-                stop = dst + len(parents)
-                np.multiply(
-                    out.take(parents, 0), cols.take(variables, 0), out=out[dst:stop]
-                )
-                dst = stop
+        if max(self.g, 1) * self.rank * rows.shape[0] <= GATHER_BLOCK_ELEMENTS:
+            chains = self.__dict__.get("_chains")
+            if chains is None:
+                chains = self.__dict__["_chains"] = _chains(self.d, self._prefixes)
+            # the variables, then a row of ones that pads every chain
+            cols = np.ones((self.d + 1, rows.shape[0]))
+            cols[:-1] = rows.T
+            np.multiply.reduce(cols.take(chains, 0), axis=0, out=out)
             return out.T
+        out[0] = 1.0
         cols = np.ascontiguousarray(rows.T)
         src, dst = 0, 1  # first row of the parent level and of the next run
         for sizes in self._prefixes:
@@ -208,16 +221,22 @@ class MonomialFeatureMap:
         return out.T
 
 
-def _gather_plan(d: int, prefixes: tuple) -> tuple:
-    """Per degree level t, (parents, variables): for each monomial of level
-    t+1 in order, its parent's index in the full basis and the variable that
-    multiplies it, the same pairs the prefix loop of ``prefixes`` uses."""
-    plan, src = [], 0
-    for sizes in prefixes:
-        parents = np.concatenate([np.arange(src, src + n) for n in sizes])
-        plan.append((parents, np.repeat(np.arange(d - 1, -1, -1), sizes)))
+def _chains(d: int, prefixes: tuple) -> np.ndarray:
+    """The max(g, 1) x rank chain plan: column k lists, in order, the
+    variables the prefix loop of ``prefixes`` multiplies along monomial k's
+    line of parents, and then d, the row of ones, up to the full length.  A
+    left fold of each column's variables makes the prefix loop's products of
+    the same operands, since multiplying by 1.0 is exact."""
+    rank = 1 + sum(map(sum, prefixes))
+    chains = np.full((max(len(prefixes), 1), rank), d, dtype=np.intp)
+    src, dst = 0, 1
+    for t, sizes in enumerate(prefixes):
+        for var, n in zip(range(d - 1, -1, -1), sizes):
+            chains[:, dst : dst + n] = chains[:, src : src + n]
+            chains[t, dst : dst + n] = var
+            dst += n
         src += sizes[-1]
-    return tuple(plan)
+    return chains
 
 
 def build_feature_map(p: ExpPolynomial, d: int) -> MonomialFeatureMap:
@@ -276,12 +295,7 @@ def build_factor_matrices(
     for a call with one empty side: the other side's factor is written into
     it, as in ``MonomialFeatureMap.monomials``.  An empty side builds and
     weights nothing; its factor is a new 0 x rank array."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
-    if x_rows.size == 0:
-        x_rows = x_rows.reshape(0, fmap.d)
-    if y_rows.size == 0:
-        y_rows = y_rows.reshape(0, fmap.d)
+    x_rows, y_rows = _as_rows(x_rows, fmap.d), _as_rows(y_rows, fmap.d)
     if x_rows.shape[1] != fmap.d or y_rows.shape[1] != fmap.d:
         raise DimensionMismatch(
             f"row width must be {fmap.d}, got {x_rows.shape[1]} and {y_rows.shape[1]}"
@@ -295,6 +309,14 @@ def build_factor_matrices(
     if len(y_rows):
         u2 = fmap.monomials(y_rows, out)
     return u1, u2
+
+
+def _as_rows(rows, d: int) -> np.ndarray:
+    """``rows`` as a 2-D float array, an empty one as 0 x d.  A 2-D float
+    array is taken as it is, which is what the conversion would return."""
+    if type(rows) is not np.ndarray or rows.dtype != float or rows.ndim != 2:
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return rows if rows.size else rows.reshape(0, d)
 
 
 def factored_row_sums(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -28,7 +28,15 @@ reads it.  QUERY never holds U1 or U2 whole: both sides walk their rows in
 blocks of ``FACTOR_BLOCK_ELEMENTS`` entries and contract each block at once,
 so its working memory is one block instead of O((M + L) r).  The first
 block allocates the buffer, in the order ``feature_map`` picks from its
-shape, and every later block reuses it.
+shape, and every later block reuses it.  Queries that fit one block, such
+as one column, skip the walk: one ``build_factor_matrices`` call and one
+matmul, so a warm one-column call costs its r (d + 1) multiply-adds plus a
+few numpy calls.
+
+``fixed_point_iterate`` shares each step's Xi^T x between the exact energy
+and a convergence screen built from the column norms the dense path keeps;
+the distances to every pattern are computed only where the screen cannot
+rule a hit out, so hits and steps are unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -51,6 +60,7 @@ from .errors import (
     MalformedPatternFile,
     NonFiniteInput,
     NonPositiveNormalizer,
+    OutOfDomain,
     SingleMemory,
     SizeOverflow,
 )
@@ -120,7 +130,7 @@ class PatternMatrix:
     def max_norm(self) -> float:
         value = self.__dict__.get("_max_norm")
         if value is None:
-            value = float(abs(self.data).max())
+            value = float(np.maximum.reduce(abs(self.data), axis=None))
             if self.role == "memory":
                 self.__dict__["_max_norm"] = value
         return value
@@ -230,8 +240,9 @@ def lse(beta: float, z) -> float:
         raise EmptyVector("lse of an empty vector")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(beta * (z - m))))) / beta
+    # the ufunc reductions np.max and np.sum call, without their wrappers
+    m = float(np.maximum.reduce(z, axis=None))
+    return m + float(np.log(np.add.reduce(np.exp(beta * (z - m)), axis=None))) / beta
 
 
 def energy(memory: PatternMatrix, x, beta: float) -> float:
@@ -390,10 +401,9 @@ def _monomial_blocks(fmap, rows: np.ndarray):
     through ``build_factor_matrices`` as its pure-monomial side."""
     step = max(1, FACTOR_BLOCK_ELEMENTS // fmap.rank)
     buf = None
-    empty = np.empty((0, fmap.d))
     for lo in range(0, rows.shape[0], step):
         block = slice(lo, min(lo + step, rows.shape[0]))
-        u = fm.build_factor_matrices(fmap, empty, rows[block], buf)[1]
+        u = fm.build_factor_matrices(fmap, rows[:0], rows[block], buf)[1]
         buf = u.T
         yield block, u
 
@@ -424,7 +434,7 @@ def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalizati
         acc *= fmap.weights[:, None]
         state = acc.T
     else:
-        state, _ = fm.build_factor_matrices(fmap, rows, np.empty((0, memory.d)))
+        state, _ = fm.build_factor_matrices(fmap, rows, rows[:0])
     state.flags.writeable = False
     if memory.role == "memory":
         memory.__dict__["_lowrank_state"] = (fmap, scale, normalization, state)
@@ -444,16 +454,20 @@ def _lowrank(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
       row sums.  U2 is whole, since the row sums and the output both read
       it."""
     poly, fmap, b = _fit(memory, queries, cfg)
-    scale = np.sqrt(cfg.beta)
+    scale = math.sqrt(cfg.beta)
     state = _memory_state(memory, fmap, scale, cfg.normalization)
+    rows = scale * queries.data.T
     if cfg.normalization is Normalization.MEMORY:
-        _, u2 = fm.build_factor_matrices(
-            fmap, np.empty((0, memory.d)), scale * queries.data.T
-        )
+        _, u2 = fm.build_factor_matrices(fmap, rows[:0], rows)
         return poly, fmap, b, fm.factored_row_sums(state, u2), (state, u2)
     numer = np.empty((memory.d + 1, queries.count))
-    for block, u2 in _monomial_blocks(fmap, scale * queries.data.T):
-        np.matmul(state, u2.T, out=numer[:, block])
+    if queries.count == 1 or queries.count * fmap.rank <= FACTOR_BLOCK_ELEMENTS:
+        # one block, as the first of ``_monomial_blocks`` would build it
+        u2 = fm.build_factor_matrices(fmap, rows[:0], rows)[1]
+        np.matmul(state, u2.T, out=numer)
+    else:
+        for block, u2 in _monomial_blocks(fmap, rows):
+            np.matmul(state, u2.T, out=numer[:, block])
     return poly, fmap, b, numer[-1], numer
 
 
@@ -468,11 +482,21 @@ def lowrank_normalizers(
 def dense_normalizers(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ) -> np.ndarray:
-    """Exact normalizer vector (no shift; intended for bounded score suites)."""
+    """Exact normalizer vector, with no shift: meant for bounded score
+    suites.  A score above ln(max float / 2n), n the scores each normalizer
+    sums, raises ``OutOfDomain``, since its exponential or their sum could
+    overflow to inf."""
     _check_dims(memory, queries)
-    a = np.exp(cfg.beta * (memory.data.T @ queries.data))
+    scores = cfg.beta * (memory.data.T @ queries.data)
     axis = 1 if cfg.normalization is Normalization.MEMORY else 0
-    return a.sum(axis=axis)
+    bound = math.log(sys.float_info.max / (2 * scores.shape[axis]))
+    top = np.maximum.reduce(scores, axis=None)
+    if top > bound:
+        raise OutOfDomain(
+            f"score {top:.6g} exceeds the bound ln(max float / 2n) = {bound:.6g} "
+            f"(n = {scores.shape[axis]}) of the unshifted normalizers"
+        )
+    return np.exp(scores, out=scores).sum(axis=axis)
 
 
 def retrieve_lowrank(
@@ -492,7 +516,8 @@ def retrieve_lowrank(
     start = time.perf_counter()
     poly, fmap, b, norm, parts = _lowrank(memory, queries, cfg)
     by_rows = cfg.normalization is Normalization.MEMORY
-    if (norm <= 0).any():
+    # fmin skips NaN entries, so this raises where (norm <= 0).any() would
+    if np.fmin.reduce(norm) <= 0:
         raise NonPositiveNormalizer(
             f"approximated {'row' if by_rows else 'column'} normalizer "
             "has a non-positive entry"
@@ -584,23 +609,48 @@ def fixed_point_iterate(
 
     The dynamics always uses the query-softmax convention; cfg.solver picks
     the dense or low-rank evaluation path.  Each step's energy is the exact
-    dense ``energy``, and its convergence check measures the distance to
-    every stored pattern: both cost O(Md) on either solver, so a low-rank
-    step is not O(rd).  The low-rank normalizer would give the lse in O(rd),
-    but off by up to log(1 + delta_a) / beta; the exact energy keeps the
-    recorded energies independent of the solver's approximation.
+    dense ``energy``, whose scores s = Xi^T x cost O(Md) on either solver, so
+    a low-rank step is not O(rd).  The low-rank normalizer would give the
+    lse in O(rd), but off by up to log(1 + delta_a) / beta; the exact energy
+    keeps the recorded energies independent of the solver's approximation.
+
+    The convergence check reuses s.  Column j's squared distance is
+    n_j^2 - 2 s_j + x.x, n_j the column norm the memory keeps, and that
+    screen, as computed, is within 8 d u (max n^2 + x.x) of the exact square
+    (u = 2^-53: n_j within 2(d - 1) u relative, hypot being within an ulp,
+    s_j and x.x within gamma_d of their dot products, two more roundings).
+    The distance the check compares with eps, the 2-norm of xi_j - x as
+    ``np.linalg.norm`` rounds it, is at least the exact one times
+    1 - (d + 5) u / 2.  So a column whose rounded distance is at most eps
+    screens below eps^2 (1 + c) + c (max n^2 + x.x) plus 1e-300 for
+    underflow, c = 16 (d + 1) u, which holds twice both margins.  Only when
+    the minimum screen is at most that bound, or a value is not finite or
+    above 1e300, are the distances computed as before and the first nearest
+    column taken, so hits and steps are the ones every distance would give.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != memory.d:
         raise DimensionMismatch(f"query length {x.shape[0]} != d {memory.d}")
     retrieve = retrieve_lowrank if cfg.solver == "lowrank" else retrieve_dense
     query_cfg = replace(cfg, normalization=Normalization.QUERY)
+    sq_norms = _dense_side(memory)[1] ** 2
+    top = float(sq_norms.max())
+    slack = 16 * (memory.d + 1) * 2.0**-53
+    column = np.empty((memory.d, 1))
+    batch = PatternMatrix(column, role="query")  # a view: it follows column
     traj = Trajectory(points=[x.copy()], energies=[energy(memory, x, cfg.beta)])
     for step in range(1, steps + 1):
-        batch = PatternMatrix(x[:, None], role="query")
+        column[:, 0] = x
         x = retrieve(memory, batch, query_cfg).Z[:, 0]
         traj.points.append(x.copy())
-        traj.energies.append(energy(memory, x, cfg.beta))
+        scores = memory.data.T @ x  # energy's own product, so the same bits
+        xx = float(x @ x)
+        traj.energies.append(-lse(cfg.beta, scores) + 0.5 * xx)
+        scores *= -2.0
+        scores += sq_norms
+        bound = eps * eps * (1.0 + slack) + slack * (top + xx) + 1e-300
+        if np.minimum.reduce(scores) + xx > bound and top + xx < 1e300:
+            continue
         dists = np.linalg.norm(memory.data - x[:, None], axis=0)
         hit = int(np.argmin(dists))
         if dists[hit] <= eps:

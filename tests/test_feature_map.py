@@ -158,14 +158,14 @@ def test_monomials_match_brute_force(order):
 @pytest.mark.parametrize("d, g", [(1, 5), (4, 0), (4, 5), (8, 5), (4, 13)])
 def test_gather_and_prefix_forms_agree_bit_for_bit(monkeypatch, d, g, order):
     fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
-    # the most rows a block built by gathers holds at the default constant
-    cross = fm.GATHER_BLOCK_ELEMENTS // fmap.rank
+    # the most rows a block built by the fold holds at the default constant
+    cross = fm.GATHER_BLOCK_ELEMENTS // (max(g, 1) * fmap.rank)
     # the default builds the first block past the crossover by the prefix
-    # loop and the first block at it by gathers, which keeps their plan
+    # loop and the first block at it by the fold, which keeps its chains
     fmap.monomials(np.ones((cross + 1, d)))
-    assert "_gather" not in fmap.__dict__
+    assert "_chains" not in fmap.__dict__
     fmap.monomials(np.ones((cross, d)))
-    assert "_gather" in fmap.__dict__
+    assert "_chains" in fmap.__dict__
     rng = np.random.default_rng(17)
     for n in (0, 1, 2, cross - 1, cross, cross + 1):
         rows = np.asarray(rng.uniform(-1.5, 1.5, (n, d)), order=order)
@@ -176,7 +176,7 @@ def test_gather_and_prefix_forms_agree_bit_for_bit(monkeypatch, d, g, order):
             np.full((fmap.rank, n + 3), np.nan),
             np.full((n + 3, fmap.rank), np.nan).T,
         ):
-            for limit in (0, 2**62):  # the prefix loop, then gathers at any size
+            for limit in (0, 2**62):  # the prefix loop, then the fold at any size
                 monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", limit)
                 forms.append(fmap.monomials(rows, buf).copy())
                 assert np.isnan(buf[:, n:]).all()
@@ -206,16 +206,20 @@ def test_high_rank_blocks_are_built_row_major():
 
 
 def test_gather_blocks_and_batch_shapes_stay_rank_major():
-    # a one-column block of the stream shape, gather blocks past the ratio,
-    # batch-d4's QUERY block and batch-d8's MEMORY factor keep one monomial
-    # per buffer row
-    for rank, rows in ((126, 1), (2380, 1), (6435, 2), (126, 16384), (1287, 4096)):
-        assert rank * rows <= fm.GATHER_BLOCK_ELEMENTS or rank <= fm.ROW_MAJOR_RATIO * rows
+    # one-column blocks of the stream shape (rank 70 at degree 4, rank 126
+    # at degree 5), batch-d4's QUERY block and batch-d8's MEMORY factor keep
+    # one monomial per buffer row
+    for rank, rows in ((70, 1), (126, 1), (70, 16384), (126, 16384), (495, 4096), (1287, 4096)):
+        assert rank <= fm.ROW_MAJOR_RATIO * rows
         buf = fm._monomial_buffer(rank, rows)
         assert buf.shape == (rank, rows)
         assert buf.strides == (8 * rows, 8)
-    # a one-row block past the gather crossover is one run either way
-    assert fm._monomial_buffer(203490, 1).T.flags.c_contiguous
+    # a one-row block past the ratio, such as a one-column block at rank
+    # 2,380 (built by the fold) or 6,435 (by the prefix loop), is one run
+    # either way
+    for rank in (2380, 6435, 203490):
+        buf = fm._monomial_buffer(rank, 1)
+        assert buf.flags.c_contiguous and buf.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
@@ -428,3 +432,101 @@ def test_bad_input_is_refused(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert message in str(excinfo.value)
+
+
+def _old_rows(rows, d):
+    """The conversion every input took before 2-D float arrays skipped it."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return rows.reshape(0, d) if rows.size == 0 else rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]],  # list of rows
+        [0.5, -1.0, 2.0],  # one row as a 1-D list
+        np.array([0.5, -1.0, 2.0]),  # 1-D array
+        np.array([[1, -2, 3], [0, 2, -1]]),  # int array
+        np.array([[0.5, -1.0, 2.0]], dtype=np.float32),
+        np.asfortranarray([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]]),
+        [],
+        np.empty((0, 3)),
+        np.empty((0, 5)),
+        [[1.0, 2.0]],  # too narrow
+        np.ones((2, 4)),  # too wide
+        np.ones((2, 3, 1)),  # 3-D
+    ],
+    ids=[
+        "list", "1-D-list", "1-D", "int", "float32", "fortran", "empty-list",
+        "empty", "empty-wide", "narrow-list", "wide", "3-D",
+    ],
+)
+def test_inputs_take_the_old_conversion(rows):
+    # a 2-D float array skips the conversion, which would return it as it
+    # is; every other input gets the old results and the old errors
+    fmap = build_feature_map(poly_from_coeffs([1.0, 0.5, 0.25]), 3)
+    converted = _old_rows(rows, 3)
+    other = np.array([[0.5, 0.5, -0.5]])
+
+    def outcome(call):
+        try:
+            return call()
+        except (DimensionMismatch, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for args in ((rows, other), (other, rows)):
+        new = outcome(lambda: build_factor_matrices(fmap, *args))
+        old = outcome(
+            lambda: build_factor_matrices(fmap, *(converted if a is rows else a for a in args))
+        )
+        if isinstance(old, tuple) and isinstance(old[0], type):
+            assert new == old
+        else:
+            assert all(np.array_equal(n, o) and n.shape == o.shape for n, o in zip(new, old))
+    # monomials converts with asarray alone, so a 1-D input is refused
+    new = outcome(lambda: fmap.monomials(rows))
+    old = outcome(lambda: fmap.monomials(np.asarray(rows, dtype=float)))
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert np.array_equal(new, old) and new.shape == old.shape
+
+
+def _prefix_loop(fmap, rows):
+    out = np.empty((fmap.rank, rows.shape[0]))
+    out[0] = 1.0
+    src, dst = 0, 1
+    for sizes in fmap._prefixes:
+        for var, n in zip(range(fmap.d - 1, -1, -1), sizes):
+            np.multiply(out[src : src + n], rows.T[var], out=out[dst : dst + n])
+            dst += n
+        src += sizes[-1]
+    return out.T
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_fold_matches_the_prefix_loop_up_to_the_crossover(d):
+    # every row count from 1 to the last one the fold builds, on entries
+    # that include zeros of both signs, subnormal products and overflow
+    rng = np.random.default_rng(61)
+    specials = np.array([0.0, -0.0, 1e-160, -3e-170, 1e160, np.inf, -np.inf, np.nan])
+    for g in (0, 1, 2, 4, 5, 7):
+        fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
+        cross = fm.GATHER_BLOCK_ELEMENTS // (max(g, 1) * fmap.rank)
+        if cross == 0:
+            continue
+        rows_all = rng.uniform(-1.5, 1.5, (cross, d))
+        mask = rng.random((cross, d)) < 0.1
+        rows_all[mask] = rng.choice(specials, mask.sum())
+        # every count up to 40, then about 40 more up to the crossover
+        counts = sorted({*range(1, min(cross, 40) + 1), *np.geomspace(1, cross, 40).astype(int), cross})
+        for n in counts:
+            rows = rows_all[:n]
+            with np.errstate(all="ignore"):
+                fold, loop = fmap.monomials(rows), _prefix_loop(fmap, rows)
+            assert fold.shape == (n, fmap.rank)
+            # bytes, so NaN payloads and signed zeros count
+            assert fold.tobytes() == np.ascontiguousarray(loop).tobytes()
+        # the first block past the crossover is the prefix loop's own
+        rows = rng.uniform(-1.5, 1.5, (cross + 1, d))
+        assert np.array_equal(fmap.monomials(rows), _prefix_loop(fmap, rows))

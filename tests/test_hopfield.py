@@ -1,6 +1,7 @@
 """Tests for dense and low-rank retrieval, energies, and separation measures."""
 
 import copy
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -18,6 +19,7 @@ from linhop.errors import (
     InvalidBound,
     NonFiniteInput,
     NonPositiveNormalizer,
+    OutOfDomain,
     SingleMemory,
     SizeOverflow,
 )
@@ -166,6 +168,18 @@ def test_normalizer_relative_contract():
         approx = lowrank_normalizers(mem, queries, cfg)
         exact = dense_normalizers(mem, queries, cfg)
         assert np.all(np.abs(approx - exact) <= cfg.delta_a * exact)
+
+
+def test_dense_normalizers_refuse_scores_past_the_exp_range():
+    # one score of 1.2 * 600 = 720 overflowed exp to inf with a warning;
+    # ln(max float / 4) = 708.4 is the bound for two scores per normalizer
+    mem = PatternMatrix(np.array([[30.0, 1.0]]))
+    q = PatternMatrix(np.array([[20.0]]), role="query")
+    assert np.isfinite(dense_normalizers(mem, q, RetrievalConfig(beta=1.1))).all()
+    for norm in Normalization:
+        cfg = RetrievalConfig(beta=1.2, normalization=norm)
+        with pytest.raises(OutOfDomain, match=r"score 720 exceeds the bound ln\(max float / 2n\)"):
+            dense_normalizers(mem, q, cfg)
 
 
 def test_convention_equivalence_symmetric():
@@ -525,9 +539,10 @@ def test_retrieve_empty_memory(tmp_path):
 def test_lowrank_rejects_non_finite_queries():
     rng = np.random.default_rng(19)
     mem = random_patterns(rng, 3, 4)
-    q = PatternMatrix(np.array([[0.1], [np.nan], [0.2]]), role="query")
-    with pytest.raises(NonFiniteInput):
-        retrieve_lowrank(mem, q, RetrievalConfig(beta=0.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        q = PatternMatrix(np.array([[0.1], [bad], [0.2]]), role="query")
+        with pytest.raises(NonFiniteInput):
+            retrieve_lowrank(mem, q, RetrievalConfig(beta=0.5))
 
 
 def test_lowrank_rejects_overflowing_interval():
@@ -626,6 +641,70 @@ def test_negative_normalizer_is_refused(monkeypatch, normalization, word, expect
     assert len(norm) == (4 if normalization is Normalization.QUERY else 5)
 
 
+def test_normalizer_check_skips_nan_entries(monkeypatch):
+    # P(t) = -1 + inf t: a query column of zeros has the normalizer
+    # -M + inf * 0 = NaN, which passes the check, as (norm <= 0).any() lets
+    # it; a column of negative entries beside it gives -inf and is refused
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    poly = poly_approx.ExpPolynomial(
+        coeffs=(-1.0, math.inf),
+        degree=1,
+        interval_bound=1.0,
+        target_rel_error=1e-3,
+        certified_rel_error=0.0,
+    )
+    monkeypatch.setattr(poly_approx, "fit_exp_poly", lambda *args: poly)
+    mem = PatternMatrix(np.eye(2))
+    cfg = RetrievalConfig(beta=1.0)
+    zeros = PatternMatrix(np.zeros((2, 1)), role="query")
+    mixed = PatternMatrix(np.array([[0.0, -0.5], [0.0, -0.5]]), role="query")
+    with np.errstate(all="ignore"):
+        assert np.isnan(lowrank_normalizers(mem, zeros, cfg)).all()
+        assert np.isnan(retrieve_lowrank(mem, zeros, cfg).Z).all()
+        norm = lowrank_normalizers(mem, mixed, cfg)
+        assert np.isnan(norm[0]) and norm[1] == -np.inf
+        with pytest.raises(NonPositiveNormalizer, match="column"):
+            retrieve_lowrank(mem, mixed, cfg)
+
+
+def test_every_query_block_goes_through_build_factor_matrices(monkeypatch):
+    # perfbench's tracing counts monomials on build_factor_matrices: one
+    # column and a walk of several blocks must each build every query block
+    # through it, the column in one call
+    rng = np.random.default_rng(43)
+    mem = random_patterns(rng, 4, 40)
+    cfg = RetrievalConfig(beta=0.25)
+    retrieve_lowrank(mem, random_patterns(rng, 4, 3, b=0.5, role="query"), cfg)  # warm
+    build, monomials = fm.build_factor_matrices, fm.MonomialFeatureMap.monomials
+    calls, depth, outside = [], [], []
+
+    def counting_build(fmap, x_rows, y_rows, out=None):
+        calls.append((len(x_rows), len(y_rows), fmap.rank))
+        depth.append(True)
+        try:
+            return build(fmap, x_rows, y_rows, out)
+        finally:
+            depth.pop()
+
+    def counting_monomials(self, rows, out=None):
+        if not depth:
+            outside.append(len(rows))
+        return monomials(self, rows, out)
+
+    monkeypatch.setattr(fm, "build_factor_matrices", counting_build)
+    monkeypatch.setattr(fm.MonomialFeatureMap, "monomials", counting_monomials)
+    col = random_patterns(rng, 4, 1, b=0.5, role="query")
+    one = retrieve_lowrank(mem, col, cfg)
+    assert calls == [(0, 1, one.rank_used)] and not outside
+    batch = random_patterns(rng, 4, 11, b=0.5, role="query")
+    whole = retrieve_lowrank(mem, batch, cfg).Z
+    calls.clear()
+    monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", 3 * one.rank_used)
+    walked = retrieve_lowrank(mem, batch, cfg).Z
+    assert calls == [(0, 3, one.rank_used)] * 3 + [(0, 2, one.rank_used)] and not outside
+    assert np.array_equal(walked, whole)
+
+
 def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
     monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
     cfg = RetrievalConfig(beta=0.5)
@@ -700,14 +779,15 @@ def test_one_column_query_builds_its_monomials_by_gathers(monkeypatch):
     col = PatternMatrix(batch.data[:, 7:8], role="query")
     cfg = RetrievalConfig(beta=0.25)
     monkeypatch.setattr(hopfield, "_FIT_CACHE", {})  # a new map, with no plan
-    plans, gather_plan = [], fm._gather_plan
+    plans, chains = [], fm._chains
     monkeypatch.setattr(
-        fm, "_gather_plan", lambda *args: plans.append(args) or gather_plan(*args)
+        fm, "_chains", lambda *args: plans.append(args) or chains(*args)
     )
     rows = _count_memory_rows(monkeypatch)
     first = retrieve_lowrank(mem, col, cfg)
-    # one column is built by gathers, the batch by the prefix loop
-    assert first.rank_used <= fm.GATHER_BLOCK_ELEMENTS < first.rank_used * batch.count
+    # one column is built by the fold, the batch by the prefix loop
+    entries = max(first.degree_used, 1) * first.rank_used
+    assert entries <= fm.GATHER_BLOCK_ELEMENTS < entries * batch.count
     assert sum(rows) == mem.count and len(plans) == 1
     again = retrieve_lowrank(mem, col, cfg)
     assert len(plans) == 1  # the plan is kept on the map
@@ -891,6 +971,97 @@ def test_lowrank_trajectory_matches_fresh_memory_each_step():
         x = retrieve_lowrank(PatternMatrix(mem.data), batch, cfg).Z[:, 0]
         assert np.max(np.abs(point - x)) <= 1e-12
     assert len(traj.points) == 7
+
+
+def _reference_trajectory(memory, x0, cfg, steps, eps):
+    """``fixed_point_iterate`` as it was before it shared Xi^T x and screened
+    for convergence: a new query matrix, the exact ``energy`` and every
+    distance on each step."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    retrieve = retrieve_lowrank if cfg.solver == "lowrank" else retrieve_dense
+    query_cfg = replace(cfg, normalization=Normalization.QUERY)
+    traj = hopfield.Trajectory(points=[x.copy()], energies=[energy(memory, x, cfg.beta)])
+    for step in range(1, steps + 1):
+        batch = PatternMatrix(x[:, None], role="query")
+        x = retrieve(memory, batch, query_cfg).Z[:, 0]
+        traj.points.append(x.copy())
+        traj.energies.append(energy(memory, x, cfg.beta))
+        dists = np.linalg.norm(memory.data - x[:, None], axis=0)
+        hit = int(np.argmin(dists))
+        if dists[hit] <= eps:
+            traj.converged_to = hit
+            traj.converged_at_step = step
+            break
+    return traj
+
+
+def test_trajectories_match_the_reference_loop():
+    rng = np.random.default_rng(72)
+    mem = random_patterns(rng, 4, 6)
+    half = pattern_radius(mem) / 2
+    starts = {
+        "on": mem.data[:, 3],  # exactly a stored pattern
+        "near": mem.data[:, 5] + 0.2 * rng.standard_normal(4),
+        "mid": 0.5 * (mem.data[:, 1] + mem.data[:, 2]),
+    }
+    cases = []
+    for beta, solver, (name, x0) in itertools.product(
+        (2.0, 3.0), ("dense", "lowrank"), starts.items()
+    ):
+        cfg = RetrievalConfig(beta=beta, solver=solver)
+        # eps at the rounded distance of step 2's nearest pattern, and one
+        # ulp below it: the screen must pass exactly the hits every
+        # distance gives
+        far = _reference_trajectory(mem, x0, cfg, 2, 0.0).points[2]
+        edge = float(np.min(np.linalg.norm(mem.data - far[:, None], axis=0)))
+        for eps in (0.0, 1e-12, half, edge, np.nextafter(edge, 0.0)):
+            cases.append((mem, x0, cfg, eps, (solver, name, eps)))
+    # at beta = 50 every other weight of the cube's corners underflows, so a
+    # start on a corner returns it exactly and hits at eps = 0
+    cube = PatternMatrix(0.9 * np.array(list(itertools.product((-1.0, 1.0), repeat=4))).T)
+    cases.append((cube, cube.data[:, 3], RetrievalConfig(beta=50.0), 0.0, ("dense", "cube", 0.0)))
+    hits = {}
+    for memory, x0, cfg, eps, label in cases:
+        got = fixed_point_iterate(memory, x0, cfg, steps=10, eps=eps)
+        want = _reference_trajectory(memory, x0, cfg, 10, eps)
+        assert len(got.points) == len(want.points), label
+        assert all(np.array_equal(g, w) for g, w in zip(got.points, want.points)), label
+        assert got.energies == want.energies, label
+        assert (got.converged_to, got.converged_at_step) == (
+            want.converged_to, want.converged_at_step
+        ), label
+        hits[label] = want.converged_at_step
+    # the cases cover hits at step 1 from a stored pattern on both solvers,
+    # later hits, hits at eps = 0, and trajectories that never hit
+    for solver in ("dense", "lowrank"):
+        assert hits[(solver, "on", half)] == 1
+        assert any(h and h > 1 for (s, _, _), h in hits.items() if s == solver)
+        assert any(h is None for (s, _, _), h in hits.items() if s == solver)
+    assert hits[("dense", "cube", 0.0)] == 1
+
+
+def test_trajectory_screen_defers_to_every_distance_on_odd_values():
+    # non-finite or huge values, or eps that is negative or NaN, take the
+    # distances of every pattern, as before
+    mem = PatternMatrix(np.array([[0.5, -1.0, 0.25], [0.0, 0.5, 1.0]]))
+    x0 = np.array([0.45, 0.05])
+    for cfg in (RetrievalConfig(beta=1.0), RetrievalConfig(beta=1.0, solver="lowrank")):
+        for eps in (-1.0, np.nan, np.inf, 1e200, 5.0):
+            got = fixed_point_iterate(mem, x0, cfg, steps=4, eps=eps)
+            want = _reference_trajectory(mem, x0, cfg, 4, eps)
+            assert (got.converged_to, got.converged_at_step) == (
+                want.converged_to, want.converged_at_step
+            )
+            assert got.energies == want.energies
+    with np.errstate(all="ignore"):
+        for data in ([[1e160, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            big = PatternMatrix(np.array(data))
+            x0 = big.data[:, 1]
+            got = fixed_point_iterate(big, x0, RetrievalConfig(beta=1.0), steps=2, eps=0.5)
+            want = _reference_trajectory(big, x0, RetrievalConfig(beta=1.0), 2, 0.5)
+            assert (got.converged_to, got.converged_at_step) == (
+                want.converged_to, want.converged_at_step
+            )
 
 
 def _three_by_four():
