@@ -61,17 +61,19 @@ measured.
 
 That prefix loop makes g d numpy calls whatever n is, and at a few rows each
 call costs its overhead, not its arithmetic.  So a small block is built by
-one fold instead.  Each monomial's chain lists the variables the prefix loop
-multiplies along its line of parents, padded with the index of a row of
-ones up to length max(g, 1).  One ``take`` of [rows.T; 1] gathers every
-chain, and one ``np.multiply.reduce`` over the chain axis folds them from
-the left, in the prefix loop's order.  Multiplying by 1.0 is exact, so both
-forms compute the same products of the same operands and return the same
-bits.  The chains are derived from the prefix plan on a map's first small
-block and kept on the map.  The fold makes g multiplications per monomial
-where the loop makes one, so it wins only while the block is small: its
-gathered chains, max(g, 1) x rank x n entries, at most
-``GATHER_BLOCK_ELEMENTS``.  Median microseconds per block on a 2-vCPU Xeon,
+one fold instead.  Its first d + 1 rows, the constant 1 and the variables,
+are the prefix loop's first two levels (1.0 x_v is x_v).  Each monomial of
+degree 2 and up has a chain: the variables the prefix loop multiplies along
+its line of parents, as rows of those d + 1, padded with the row of ones up
+to length g.  One ``take`` gathers every chain, and one
+``np.multiply.reduce`` over the chain axis folds them from the left, in the
+prefix loop's order.  Multiplying by 1.0 is exact, so both forms compute the
+same products of the same operands and return the same bits.  The chains
+are derived from the prefix plan on a map's first small block and kept on
+the map.  The fold makes g multiplications per monomial where the loop
+makes one, so it wins only while the block is small: its gathered chains,
+g x rank x n entries, at most ``GATHER_BLOCK_ELEMENTS``.  A map of degree 0
+is one constant, and the loop makes no call for it.  Median microseconds per block on a 2-vCPU Xeon,
 out buffer reused, two runs (one at degree 1):
 
     d   g    rank    rows   chain entries   prefix loop    fold
@@ -111,7 +113,7 @@ from .poly_approx import ExpPolynomial
 # the largest rank build_feature_map builds; a larger map raises SizeOverflow
 RANK_CAP = 10**6
 
-# the most chain entries (max(g, 1) x rank x rows) of a block built by one
+# the most chain entries (g x rank x rows) of a block built by one
 # fold of gathered variables rather than by the prefix loop, and the rank /
 # rows above which a larger block is laid out row-major; both measured in
 # the module docstring
@@ -171,10 +173,11 @@ class MonomialFeatureMap:
         in one of two orders: rank-major, with contiguous rows (one monomial
         per row, so the result is Fortran-ordered), or row-major, the
         transpose of an m x rank C array (the result is C-ordered).  A
-        caller walking rows in blocks reuses one buffer.  A block whose
-        chains (max(g, 1) x rank x n) hold at most ``GATHER_BLOCK_ELEMENTS``
-        entries is one fold over the gathered variables of every monomial's
-        chain; a larger one takes one multiplication per run, of a
+        caller walking rows in blocks reuses one buffer.  A block of a map
+        of degree g >= 1 whose chains (g x rank x n) hold at most
+        ``GATHER_BLOCK_ELEMENTS`` entries is one fold over the gathered
+        variables of every monomial's chain; any other takes one
+        multiplication per run, of a
         contiguous slice of the level before it by one variable of
         ``rows.T``, copied only if it is not already C-contiguous.  Both
         write in place and give the same bits."""
@@ -201,16 +204,17 @@ class MonomialFeatureMap:
             out = out[:, : rows.shape[0]]
         if not rows.shape[0]:
             return out.T
-        if max(self.g, 1) * self.rank * rows.shape[0] <= GATHER_BLOCK_ELEMENTS:
+        out[0] = 1.0
+        if self.g and self.g * self.rank * rows.shape[0] <= GATHER_BLOCK_ELEMENTS:
             chains = self.__dict__.get("_chains")
             if chains is None:
                 chains = self.__dict__["_chains"] = _chains(self.d, self._prefixes)
-            # the variables, then a row of ones that pads every chain
-            cols = np.ones((self.d + 1, rows.shape[0]))
-            cols[:-1] = rows.T
-            np.multiply.reduce(cols.take(chains, 0), axis=0, out=out)
+            # the prefix loop's degree-1 level, 1.0 * x_v, is x_v itself
+            out[1 : self.d + 1] = rows.T[::-1]
+            np.multiply.reduce(
+                out[: self.d + 1].take(chains, 0), axis=0, out=out[self.d + 1 :]
+            )
             return out.T
-        out[0] = 1.0
         cols = np.ascontiguousarray(rows.T)
         src, dst = 0, 1  # first row of the parent level and of the next run
         for sizes in self._prefixes:
@@ -222,21 +226,23 @@ class MonomialFeatureMap:
 
 
 def _chains(d: int, prefixes: tuple) -> np.ndarray:
-    """The max(g, 1) x rank chain plan: column k lists, in order, the
-    variables the prefix loop of ``prefixes`` multiplies along monomial k's
-    line of parents, and then d, the row of ones, up to the full length.  A
-    left fold of each column's variables makes the prefix loop's products of
-    the same operands, since multiplying by 1.0 is exact."""
+    """The g x (rank - d - 1) chain plan of the monomials of degree 2 and
+    up: column k lists, in order, the variables the prefix loop of
+    ``prefixes`` multiplies along the monomial's line of parents, as rows of
+    the block's first d + 1 (the constant 1 at row 0, variable v at row
+    d - v), then row 0 up to length g.  A left fold of each column makes the
+    prefix loop's products of the same operands, since multiplying by 1.0
+    is exact."""
     rank = 1 + sum(map(sum, prefixes))
-    chains = np.full((max(len(prefixes), 1), rank), d, dtype=np.intp)
+    chains = np.zeros((len(prefixes), rank), dtype=np.intp)
     src, dst = 0, 1
     for t, sizes in enumerate(prefixes):
         for var, n in zip(range(d - 1, -1, -1), sizes):
             chains[:, dst : dst + n] = chains[:, src : src + n]
-            chains[t, dst : dst + n] = var
+            chains[t, dst : dst + n] = d - var
             dst += n
         src += sizes[-1]
-    return chains
+    return np.ascontiguousarray(chains[:, d + 1 :])
 
 
 def build_feature_map(p: ExpPolynomial, d: int) -> MonomialFeatureMap:
