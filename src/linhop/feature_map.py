@@ -322,7 +322,7 @@ def _as_rows(rows, d: int) -> np.ndarray:
     array is taken as it is, which is what the conversion would return."""
     if type(rows) is not np.ndarray or rows.dtype != float or rows.ndim != 2:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return rows if rows.size else rows.reshape(0, d)
+    return rows if rows.size or rows.shape[1] == d else rows.reshape(0, d)
 
 
 def factored_row_sums(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

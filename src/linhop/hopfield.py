@@ -460,12 +460,11 @@ def _lowrank(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
     if cfg.normalization is Normalization.MEMORY:
         _, u2 = fm.build_factor_matrices(fmap, rows[:0], rows)
         return poly, fmap, b, fm.factored_row_sums(state, u2), (state, u2)
-    numer = np.empty((memory.d + 1, queries.count))
     if queries.count == 1 or queries.count * fmap.rank <= FACTOR_BLOCK_ELEMENTS:
         # one block, as the first of ``_monomial_blocks`` would build it
-        u2 = fm.build_factor_matrices(fmap, rows[:0], rows)[1]
-        np.matmul(state, u2.T, out=numer)
+        numer = state @ fm.build_factor_matrices(fmap, rows[:0], rows)[1].T
     else:
+        numer = np.empty((memory.d + 1, queries.count))
         for block, u2 in _monomial_blocks(fmap, rows):
             np.matmul(state, u2.T, out=numer[:, block])
     return poly, fmap, b, numer[-1], numer
