@@ -73,31 +73,28 @@ are derived from the prefix plan on a map's first small block and kept on
 the map.  The fold makes g multiplications per monomial where the loop
 makes one, so it wins only while the block is small: its gathered chains,
 g x rank x n entries, at most ``GATHER_BLOCK_ELEMENTS``.  A map of degree 0
-is one constant, and the loop makes no call for it.  Median microseconds per block on a 2-vCPU Xeon,
-out buffer reused, two runs (one at degree 1):
+is one constant, and the loop makes no call for it.  Median microseconds
+per block on a 2-vCPU Xeon, out buffer reused, two runs (one at degree 1):
 
     d   g    rank    rows   chain entries   prefix loop    fold
-    4   4      70       1             280         27-45     5-9
-    4   5     126       1             630         55-57      10
-    4  13   2,380       1          30,940        82-138      32
-    8   7   6,435       1          45,045         78-85   47-51
-    4   4      70     117          32,760         50-57   25-30
-    4   4      70     234          65,520         60-63   44-46
-    4   2      15   1,092          32,760         26-40   27-36
-    4   2      15   2,184          65,520         33-48   51-63
-    1  13      14     180          32,760         26-49   17-24
-    8   2      45     364          32,760         37-56   26-33
-    8   2      45     728          65,520         44-66   47-57
-    8   5   1,287       5          32,175        74-104   34-38
-   64   2   2,145       7          30,030       206-211   29-31
-    4   1       5   6,553          32,765            38      49
-    8   1       9   3,640          32,760            40      66
+    4   4      70       1             280         47-49     8-9
+    4   5     126       1             630         54-58       9
+    4  13   2,380       1          30,940       144-152   62-63
+    8   7   6,435       1          45,045        87-158   54-93
+    4   4      70     117          32,760         35-59   27-30
+    4   4      70     234          65,520         56-64   43-48
+    4   2      15   1,092          32,760         37-41   24-27
+    4   2      15   2,184          65,520         32-49   33-44
+    1  13      14     180          32,760         39-53   18-24
+    1  13      14     360          65,520         28-52   30-40
+    8   2      45     364          32,760         37-64   22-30
+    8   5   1,287       5          32,175       126-137   49-53
+   64   2   2,145       7          30,030       218-361   35-45
+    4   1       5  13,107          65,535           102      42
 
-At 2^16 entries the fold lost 1.3-1.6x at rank 15, so 2^15 is the largest
-power of two where it won or tied on every map of degree 2 and up measured.
-At degree 1 the prefix loop is d calls of one copy each, and the fold lost
-up to 1.8x at a few thousand rows; the fits give degree 1 only on intervals
-under about 0.05.
+At 2^16 entries the fold lost by 3-35% at ranks 14, 15 and 45 (d = 2) in
+five alternations, so 2^15 is the largest power of two where it won on
+every map measured.  At degree 1 the fold is the first two levels alone.
 """
 
 from __future__ import annotations
@@ -177,10 +174,9 @@ class MonomialFeatureMap:
         of degree g >= 1 whose chains (g x rank x n) hold at most
         ``GATHER_BLOCK_ELEMENTS`` entries is one fold over the gathered
         variables of every monomial's chain; any other takes one
-        multiplication per run, of a
-        contiguous slice of the level before it by one variable of
-        ``rows.T``, copied only if it is not already C-contiguous.  Both
-        write in place and give the same bits."""
+        multiplication per run, of a contiguous slice of the level before it
+        by one variable of ``rows.T``, copied only if it is not already
+        C-contiguous.  Both write in place and give the same bits."""
         if type(rows) is not np.ndarray or rows.dtype != float:
             rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
