@@ -57,44 +57,64 @@ reused, two runs:
 No single ratio separates the two orders: row-major also won on the largest
 blocks at 461 and 1,374, but lost up to 1.26x on small blocks near 1,500.
 2,048 is the power of two above which it lost by more than 3% on no block
-measured.
+measured.  Blocks built by the fold or by gathers (below) keep one monomial
+per row: at rank 6,435 and 2 rows row-major ran 5x slower for the fold
+(353-379 against 67-72 us) and 7x for gathers (217-233 against 31-33 us).
 
 That prefix loop makes g d numpy calls whatever n is, and at a few rows each
-call costs its overhead, not its arithmetic.  So a small block is built by
-one fold instead.  Its first d + 1 rows, the constant 1 and the variables,
-are the prefix loop's first two levels (1.0 x_v is x_v).  Each monomial of
-degree 2 and up has a chain: the variables the prefix loop multiplies along
-its line of parents, as rows of those d + 1, padded with the row of ones up
-to length g.  One ``take`` gathers every chain, and one
-``np.multiply.reduce`` over the chain axis folds them from the left, in the
-prefix loop's order.  Multiplying by 1.0 is exact, so both forms compute the
-same products of the same operands and return the same bits.  The chains
-are derived from the prefix plan on a map's first small block and kept on
-the map.  The fold makes g multiplications per monomial where the loop
-makes one, so it wins only while the block is small: its gathered chains,
-g x rank x n entries, at most ``GATHER_BLOCK_ELEMENTS``.  A map of degree 0
-is one constant, and the loop makes no call for it.  Median microseconds
-per block on a 2-vCPU Xeon, out buffer reused, two runs (one at degree 1):
+call costs its overhead, not its arithmetic.  So a small block takes one of
+two forms that make fewer calls and compute the same products of the same
+operands, so they return the same bits:
 
-    d   g    rank    rows   chain entries   prefix loop    fold
-    4   4      70       1             280         47-49     8-9
-    4   5     126       1             630         54-58       9
-    4  13   2,380       1          30,940       144-152   62-63
-    8   7   6,435       1          45,045        87-158   54-93
-    4   4      70     117          32,760         35-59   27-30
-    4   4      70     234          65,520         56-64   43-48
-    4   2      15   1,092          32,760         37-41   24-27
-    4   2      15   2,184          65,520         32-49   33-44
-    1  13      14     180          32,760         39-53   18-24
-    1  13      14     360          65,520         28-52   30-40
-    8   2      45     364          32,760         37-64   22-30
-    8   5   1,287       5          32,175       126-137   49-53
-   64   2   2,145       7          30,030       218-361   35-45
-    4   1       5  13,107          65,535           102      42
+- The fold.  The block's first d + 1 rows, the constant 1 and the variables,
+  are the prefix loop's first two levels (1.0 x_v is x_v).  Each monomial of
+  degree 2 and up has a chain: the variables the prefix loop multiplies
+  along its line of parents, as rows of those d + 1, padded with the row of
+  ones up to length g (multiplying by 1.0 is exact).  One ``take`` gathers
+  every chain, and one ``np.multiply.reduce`` over the chain axis folds
+  them from the left, in the prefix loop's order: three numpy calls, but g
+  multiplications per monomial, so its budget is on the chains' g x rank x
+  n entries, ``FOLD_BLOCK_ELEMENTS``.
+- Gathers.  One multiplication per level: the parents of level t+1,
+  gathered from level t, times the gathered variable rows, each monomial
+  keeping the parent and variable the prefix loop gives it.  That is 3 g
+  calls and one multiplication per monomial, with level-sized temporaries,
+  for blocks of rank x n at most ``GATHER_BLOCK_ELEMENTS``.
 
-At 2^16 entries the fold lost by 3-35% at ranks 14, 15 and 45 (d = 2) in
-five alternations, so 2^15 is the largest power of two where it won on
-every map measured.  At degree 1 the fold is the first two levels alone.
+Both plans are derived from the prefix plan on a map's first such block and
+kept on the map.  A map of degree 0 is one constant, and no form makes a
+call for it.  Median microseconds per block on a 2-vCPU Xeon, out buffer
+reused, medians of 200 calls, three runs; the form picked is starred:
+
+    d   g   rank   rows   chain entries   prefix loop   gathers       fold
+    4   4     70      1             280         44       12          6*
+    4   5    126      1             630         55-56    15          7*
+    8   5  1,287      1           6,435        103-107   15-20      13-17*
+   64   2  2,145      1           4,290        321-332   15-16      14-15*
+    4   4     70     29           8,120         47-49    17         12*
+    8   4    495      4           7,920         88-90    17         12*
+   16   3    969      2           5,814        139-144   16-17      12-13*
+    1  13     14     45           8,190         35-42    26-33       9-11*
+    4   1      5  1,638           8,190         22-23    17-18       9-10*
+    4   4     70     58          16,240         47-51    19-21*     15-18
+    8   4    495      8          15,840         90-98    20-21*     23-24
+   16   3    969      5          14,535        139-140   24-25*     25-26
+    8   5  1,287      2          12,870        102-132   19-25*     20
+    4  13  2,380      1          30,940        142-147   46-47*     60-61
+    8   7  6,435      1          45,045        145-151   45-47*     82-91
+    8   7  6,435      2          90,090        212-226   53-57*     92-109
+    8   2     45    364          32,760         48-59    26-31*     23-25
+    4   4     70    234          65,520         58-64    36-40*     45-47
+    4   4     70    235          65,800         61-65*   38-40      45-46
+
+2^13 chain entries is the largest power of two where the fold lost to
+gathers on no map measured; at 2^14 it lost by up to 15% (d = 8, g = 4).
+Past it the fold still wins where d is small and g high (d = 1 or 2 at
+degree 13 or 30: 30-32 against 75-80 us at d = 2, g = 30, one row), since
+gathers make 3 g calls; the budget does not follow those maps.  The gather
+budget on rank x n, 2^14, is the largest power of two where gathers beat
+the prefix loop at every rank measured (at 2^15 they lost 2.7x at rank 45,
+though they still win just past 2^14, as in the last row).
 """
 
 from __future__ import annotations
@@ -110,11 +130,13 @@ from .poly_approx import ExpPolynomial
 # the largest rank build_feature_map builds; a larger map raises SizeOverflow
 RANK_CAP = 10**6
 
-# the most chain entries (g x rank x rows) of a block built by one
-# fold of gathered variables rather than by the prefix loop, and the rank /
-# rows above which a larger block is laid out row-major; both measured in
-# the module docstring
-GATHER_BLOCK_ELEMENTS = 2**15
+# the most chain entries (g x rank x rows) of a block built by one fold of
+# gathered variables, the largest block (rank x rows) built by one
+# multiplication per level of gathered operands, and the rank / rows above
+# which a larger block is laid out row-major; all measured in the module
+# docstring
+FOLD_BLOCK_ELEMENTS = 2**13
+GATHER_BLOCK_ELEMENTS = 2**14
 ROW_MAJOR_RATIO = 2048
 
 
@@ -135,13 +157,13 @@ def _aligned_empty(shape) -> np.ndarray:
 
 def _monomial_buffer(rank: int, rows: int) -> np.ndarray:
     """An uninitialized rank x rows ``out`` for ``MonomialFeatureMap.monomials``
-    on a 64-byte boundary.  A block whose rank exceeds ``ROW_MAJOR_RATIO``
-    times its rows is the transpose of a rows x rank C array, so each
-    multiply of the prefix loop runs along a run of a level rather than
-    along the few rows; any other block is a C array, one monomial per row.
-    A block the fold builds past that ratio has at most 3 rows (1 from
-    degree 4 up), where the two orders differ only in their strides."""
-    if rank > ROW_MAJOR_RATIO * rows:
+    on a 64-byte boundary.  A block the prefix loop builds whose rank exceeds
+    ``ROW_MAJOR_RATIO`` times its rows is the transpose of a rows x rank C
+    array, so each multiply runs along a run of a level rather than along
+    the few rows; any other block is a C array, one monomial per row.  The
+    fold's blocks lie inside the gather budget, as ``FOLD_BLOCK_ELEMENTS``
+    is at most ``GATHER_BLOCK_ELEMENTS`` and g >= 1."""
+    if rank > ROW_MAJOR_RATIO * rows and rank * rows > GATHER_BLOCK_ELEMENTS:
         return _aligned_empty((rows, rank)).T
     return _aligned_empty((rank, rows))
 
@@ -158,8 +180,8 @@ class MonomialFeatureMap:
     rank: int
     # build plan: _prefixes[t][k] is how many leading indices of degree t
     # are multiplied by variable d-1-k to give the next run of degree t+1.
-    # The fold's chain plan is derived from it on first use and kept in
-    # __dict__["_chains"]
+    # The fold's chains and the gather form's plan are derived from it on
+    # first use and kept in __dict__["_chains"] and __dict__["_gather"]
     _prefixes: tuple = field(repr=False)
 
     def monomials(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -172,11 +194,13 @@ class MonomialFeatureMap:
         transpose of an m x rank C array (the result is C-ordered).  A
         caller walking rows in blocks reuses one buffer.  A block of a map
         of degree g >= 1 whose chains (g x rank x n) hold at most
-        ``GATHER_BLOCK_ELEMENTS`` entries is one fold over the gathered
-        variables of every monomial's chain; any other takes one
-        multiplication per run, of a contiguous slice of the level before it
-        by one variable of ``rows.T``, copied only if it is not already
-        C-contiguous.  Both write in place and give the same bits."""
+        ``FOLD_BLOCK_ELEMENTS`` entries is one fold over the gathered
+        variables of every monomial's chain; any other block of at most
+        ``GATHER_BLOCK_ELEMENTS`` entries takes one multiplication per
+        level, of gathered parents by gathered variables; a larger one takes
+        one per run, of a contiguous slice of the level before it by one
+        variable of ``rows.T``, copied only if it is not already
+        C-contiguous.  All three write in place and give the same bits."""
         if type(rows) is not np.ndarray or rows.dtype != float:
             rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
@@ -201,7 +225,7 @@ class MonomialFeatureMap:
         if not rows.shape[0]:
             return out.T
         out[0] = 1.0
-        if self.g and self.g * self.rank * rows.shape[0] <= GATHER_BLOCK_ELEMENTS:
+        if self.g and self.g * self.rank * rows.shape[0] <= FOLD_BLOCK_ELEMENTS:
             chains = self.__dict__.get("_chains")
             if chains is None:
                 chains = self.__dict__["_chains"] = _chains(self.d, self._prefixes)
@@ -211,6 +235,18 @@ class MonomialFeatureMap:
                 out[: self.d + 1].take(chains, 0), axis=0, out=out[self.d + 1 :]
             )
             return out.T
+        if self.rank * rows.shape[0] <= GATHER_BLOCK_ELEMENTS:
+            plan = self.__dict__.get("_gather")
+            if plan is None:
+                plan = self.__dict__["_gather"] = _gather_plan(self.d, self._prefixes)
+            cols, dst = rows.T, 1
+            for parents, variables in plan:
+                stop = dst + len(parents)
+                np.multiply(
+                    out.take(parents, 0), cols.take(variables, 0), out=out[dst:stop]
+                )
+                dst = stop
+            return out.T
         cols = np.ascontiguousarray(rows.T)
         src, dst = 0, 1  # first row of the parent level and of the next run
         for sizes in self._prefixes:
@@ -219,6 +255,18 @@ class MonomialFeatureMap:
                 dst += n
             src += sizes[-1]  # the prefix for variable 0 is the whole level
         return out.T
+
+
+def _gather_plan(d: int, prefixes: tuple) -> tuple:
+    """Per degree level t, (parents, variables): for each monomial of level
+    t+1 in order, its parent's index in the full basis and the variable that
+    multiplies it, the same pairs the prefix loop of ``prefixes`` uses."""
+    plan, src = [], 0
+    for sizes in prefixes:
+        parents = np.concatenate([np.arange(src, src + n) for n in sizes])
+        plan.append((parents, np.repeat(np.arange(d - 1, -1, -1), sizes)))
+        src += sizes[-1]
+    return tuple(plan)
 
 
 def _chains(d: int, prefixes: tuple) -> np.ndarray:

@@ -158,17 +158,23 @@ def test_monomials_match_brute_force(order):
 @pytest.mark.parametrize("d, g", [(1, 5), (4, 0), (4, 5), (8, 5), (4, 13)])
 def test_gather_and_prefix_forms_agree_bit_for_bit(monkeypatch, d, g, order):
     fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
-    # the most rows a block built by the fold holds at the default constant
-    cross = fm.GATHER_BLOCK_ELEMENTS // (max(g, 1) * fmap.rank)
-    # the default builds the first block past the crossover by the prefix
-    # loop and the first block at it by the fold, which keeps its chains
+    # the most rows a block built by the fold, and by gathers, holds at the
+    # default constants
+    fold = fm.FOLD_BLOCK_ELEMENTS // (max(g, 1) * fmap.rank)
+    cross = fm.GATHER_BLOCK_ELEMENTS // fmap.rank
+    # the default builds the first block past each crossover by the next
+    # form and the first block at it by the form, which keeps its plan
     fmap.monomials(np.ones((cross + 1, d)))
-    assert "_chains" not in fmap.__dict__
+    assert "_gather" not in fmap.__dict__
     fmap.monomials(np.ones((cross, d)))
-    # a degree-0 map is one constant, which the prefix loop sets
-    assert ("_chains" in fmap.__dict__) == (g > 0)
+    assert "_gather" in fmap.__dict__
+    fmap.monomials(np.ones((fold + 1, d)))
+    assert "_chains" not in fmap.__dict__
+    fmap.monomials(np.ones((fold, d)))
+    # a degree-0 map is one constant, which no form multiplies
+    assert ("_chains" in fmap.__dict__) == (g > 0 and fold > 0)
     rng = np.random.default_rng(17)
-    for n in (0, 1, 2, cross - 1, cross, cross + 1):
+    for n in sorted({0, 1, 2, fold, fold + 1, cross - 1, cross, cross + 1}):
         rows = np.asarray(rng.uniform(-1.5, 1.5, (n, d)), order=order)
         default = fmap.monomials(rows)
         forms = []
@@ -177,8 +183,10 @@ def test_gather_and_prefix_forms_agree_bit_for_bit(monkeypatch, d, g, order):
             np.full((fmap.rank, n + 3), np.nan),
             np.full((n + 3, fmap.rank), np.nan).T,
         ):
-            for limit in (0, 2**62):  # the prefix loop, then the fold at any size
-                monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", limit)
+            # the prefix loop, gathers and the fold, each at any size
+            for fold_limit, gather_limit in ((0, 0), (0, 2**62), (2**62, 0)):
+                monkeypatch.setattr(fm, "FOLD_BLOCK_ELEMENTS", fold_limit)
+                monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", gather_limit)
                 forms.append(fmap.monomials(rows, buf).copy())
                 assert np.isnan(buf[:, n:]).all()
                 assert np.array_equal(fmap.monomials(rows), forms[-1])
@@ -208,19 +216,18 @@ def test_high_rank_blocks_are_built_row_major():
 
 def test_gather_blocks_and_batch_shapes_stay_rank_major():
     # one-column blocks of the stream shape (rank 70 at degree 4, rank 126
-    # at degree 5), batch-d4's QUERY block and batch-d8's MEMORY factor keep
-    # one monomial per buffer row
-    for rank, rows in ((70, 1), (126, 1), (70, 16384), (126, 16384), (495, 4096), (1287, 4096)):
-        assert rank <= fm.ROW_MAJOR_RATIO * rows
+    # at degree 5), fold and gather blocks past the ratio, batch-d4's QUERY
+    # block and batch-d8's MEMORY factor keep one monomial per buffer row
+    for rank, rows in (
+        (70, 1), (126, 1), (2145, 1), (2380, 1), (6435, 2),
+        (70, 16384), (126, 16384), (495, 4096), (1287, 4096),
+    ):
+        assert rank * rows <= fm.GATHER_BLOCK_ELEMENTS or rank <= fm.ROW_MAJOR_RATIO * rows
         buf = fm._monomial_buffer(rank, rows)
         assert buf.shape == (rank, rows)
         assert buf.strides == (8 * rows, 8)
-    # a one-row block past the ratio, such as a one-column block at rank
-    # 2,380 (built by the fold) or 6,435 (by the prefix loop), is one run
-    # either way
-    for rank in (2380, 6435, 203490):
-        buf = fm._monomial_buffer(rank, 1)
-        assert buf.flags.c_contiguous and buf.T.flags.c_contiguous
+    # a one-row block past the gather crossover is one run either way
+    assert fm._monomial_buffer(203490, 1).T.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
@@ -506,14 +513,23 @@ def _prefix_loop(fmap, rows):
 
 
 @pytest.mark.parametrize("d", [1, 4, 8])
-def test_fold_matches_the_prefix_loop_up_to_the_crossover(d):
-    # every row count from 1 to the last one the fold builds, on entries
-    # that include zeros of both signs, subnormal products and overflow
+@pytest.mark.parametrize("form", ["fold", "gathers"])
+def test_small_block_forms_match_the_prefix_loop_up_to_their_crossovers(
+    monkeypatch, d, form
+):
+    # every row count from 1 to the last one the fold (or, with the fold
+    # off, gathers) builds, on entries that include zeros of both signs,
+    # subnormal products and overflow
     rng = np.random.default_rng(61)
     specials = np.array([0.0, -0.0, 1e-160, -3e-170, 1e160, np.inf, -np.inf, np.nan])
+    if form == "gathers":
+        monkeypatch.setattr(fm, "FOLD_BLOCK_ELEMENTS", 0)
     for g in (0, 1, 2, 4, 5, 7):
         fmap = build_feature_map(poly_from_coeffs([1.0] * (g + 1)), d)
-        cross = fm.GATHER_BLOCK_ELEMENTS // (max(g, 1) * fmap.rank)
+        if form == "fold":
+            cross = fm.FOLD_BLOCK_ELEMENTS // (max(g, 1) * fmap.rank)
+        else:
+            cross = fm.GATHER_BLOCK_ELEMENTS // fmap.rank
         if cross == 0:
             continue
         rows_all = rng.uniform(-1.5, 1.5, (cross, d))
@@ -524,10 +540,10 @@ def test_fold_matches_the_prefix_loop_up_to_the_crossover(d):
         for n in counts:
             rows = rows_all[:n]
             with np.errstate(all="ignore"):
-                fold, loop = fmap.monomials(rows), _prefix_loop(fmap, rows)
-            assert fold.shape == (n, fmap.rank)
+                built, loop = fmap.monomials(rows), _prefix_loop(fmap, rows)
+            assert built.shape == (n, fmap.rank)
             # bytes, so NaN payloads and signed zeros count
-            assert fold.tobytes() == np.ascontiguousarray(loop).tobytes()
-        # the first block past the crossover is the prefix loop's own
+            assert built.tobytes() == np.ascontiguousarray(loop).tobytes()
+        # the first block past the crossover is built by the next form
         rows = rng.uniform(-1.5, 1.5, (cross + 1, d))
         assert np.array_equal(fmap.monomials(rows), _prefix_loop(fmap, rows))

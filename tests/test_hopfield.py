@@ -703,6 +703,22 @@ def test_every_query_block_goes_through_build_factor_matrices(monkeypatch):
     walked = retrieve_lowrank(mem, batch, cfg).Z
     assert calls == [(0, 3, one.rank_used)] * 3 + [(0, 2, one.rank_used)] and not outside
     assert np.array_equal(walked, whole)
+    # queries that fit one block skip the walk, and more than that walk
+    walks, blocks = [], hopfield._monomial_blocks
+    monkeypatch.setattr(
+        hopfield, "_monomial_blocks", lambda *args: walks.append(1) or blocks(*args)
+    )
+    b = max(mem.max_norm, batch.max_norm)
+    for count, walked_too in ((1, False), (3, False), (4, True)):
+        calls.clear()
+        walks.clear()
+        part = retrieve_lowrank(mem, PatternMatrix(batch.data[:, :count], role="query"), cfg).Z
+        assert bool(walks) == walked_too
+        # three columns are the walk's first block, the same product
+        if count >= 3:
+            assert np.array_equal(part[:, :3], walked[:, :3])
+        assert max_norm_error(part, whole[:, :count]) <= 8 * np.finfo(float).eps * b
+        assert sum(n for _, n, _ in calls) == count and not outside
 
 
 def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
@@ -786,8 +802,8 @@ def test_one_column_query_builds_its_monomials_by_gathers(monkeypatch):
     rows = _count_memory_rows(monkeypatch)
     first = retrieve_lowrank(mem, col, cfg)
     # one column is built by the fold, the batch by the prefix loop
-    entries = max(first.degree_used, 1) * first.rank_used
-    assert entries <= fm.GATHER_BLOCK_ELEMENTS < entries * batch.count
+    assert max(first.degree_used, 1) * first.rank_used <= fm.FOLD_BLOCK_ELEMENTS
+    assert first.rank_used * batch.count > fm.GATHER_BLOCK_ELEMENTS
     assert sum(rows) == mem.count and len(plans) == 1
     again = retrieve_lowrank(mem, col, cfg)
     assert len(plans) == 1  # the plan is kept on the map
@@ -796,6 +812,8 @@ def test_one_column_query_builds_its_monomials_by_gathers(monkeypatch):
     whole = retrieve_lowrank(mem, batch, cfg)
     b = max(mem.max_norm, batch.max_norm)
     assert max_norm_error(first.Z[:, 0], whole.Z[:, 7]) <= 8 * np.finfo(float).eps * b
+    monkeypatch.setattr(fm, "FOLD_BLOCK_ELEMENTS", 0)  # forces gathers
+    assert np.array_equal(retrieve_lowrank(mem, col, cfg).Z, first.Z)
     monkeypatch.setattr(fm, "GATHER_BLOCK_ELEMENTS", 0)  # forces the prefix loop
     assert np.array_equal(retrieve_lowrank(mem, col, cfg).Z, first.Z)
     assert sum(rows) == mem.count
