@@ -14,18 +14,17 @@ import json
 import math
 import os
 import platform
-import typing
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .errors import DegreeExhausted, SizeOverflow
 from .hopfield import (
     Normalization,
     PatternMatrix,
     RetrievalConfig,
     lowrank_error_bound,
     max_norm_error,
+    plan,
     retrieve_dense,
     retrieve_lowrank,
 )
@@ -68,6 +67,11 @@ class ExperimentRecord:
             and self.measured_error > self.bound_2MBdA
         ):
             self.flag = "bound-violation"
+
+
+def _check_entry_bound(B) -> None:
+    if not (math.isfinite(B) and B > 0):
+        raise ValueError(f"B must be finite and positive, got {B}")
 
 
 def _random_patterns(rng, d, count, B, role):
@@ -113,6 +117,7 @@ def runtime_scaling(
         raise ValueError("tau values must be strictly increasing")
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
+    _check_entry_bound(B)
     cfg = RetrievalConfig(
         beta=beta, delta_a=delta_a, normalization=Normalization.QUERY
     )
@@ -195,6 +200,7 @@ def error_sweep(
     2 M B delta_a bound it certified, on one fixed random instance."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    _check_entry_bound(B)
     if beta is None:
         beta = 1.0 / d
     for da in delta_a_list:
@@ -241,9 +247,13 @@ def phase_sweep(
     seed: int = 0,
 ):
     """Low-rank feasibility as the norm bound B grows: records the fitted
-    degree, rank, and runtime, or the failure kind once the degree or rank
-    budget is exhausted.  Failures are captured per record, never fatal."""
+    degree, rank, and runtime where each B's ``plan`` holds a fit, or the
+    plan's refusal reason as the flag ("degree-exhausted" or
+    "rank-overflow"), with no low-rank call, once the degree or rank budget
+    is exhausted."""
     b_values = [float(b) for b in B_list]
+    for b in b_values:
+        _check_entry_bound(b)
     if any(b2 <= b1 for b1, b2 in zip(b_values, b_values[1:])):
         raise ValueError("B values must be strictly increasing")
     records = []
@@ -257,31 +267,20 @@ def phase_sweep(
             normalization=Normalization.QUERY,
             max_degree=degree_cap,
         )
-        flag = ""
-        g = -1
-        r_prime = -1
-        elapsed = 0.0
-        try:
-            out = retrieve_lowrank(memory, queries, cfg)
-            elapsed = out.wall_time
-            g = out.degree_used
-            r_prime = out.rank_used
-        except DegreeExhausted:
-            flag = "degree-exhausted"
-        except SizeOverflow:
-            flag = "rank-overflow"
+        flag = plan(memory, queries, cfg)[0].reason
+        out = None if flag else retrieve_lowrank(memory, queries, cfg)
         records.append(
             ExperimentRecord(
                 kind="phase",
                 tau=tau,
                 d=d,
-                g=g,
-                r_prime=r_prime,
+                g=out.degree_used if out else -1,
+                r_prime=out.rank_used if out else -1,
                 B=b,
                 beta=beta,
                 delta_a=delta_a,
                 wall_time_dense=0.0,
-                wall_time_lowrank=elapsed,
+                wall_time_lowrank=out.wall_time if out else 0.0,
                 measured_error=float("nan"),
                 bound_2MBdA=lowrank_error_bound(tau, b, delta_a),
                 seed=seed,
@@ -298,16 +297,6 @@ def records_to_csv(records, path) -> None:
         writer.writeheader()
         for rec in records:
             writer.writerow(asdict(rec))
-
-
-def records_from_csv(path):
-    # each column is parsed by its field's type: int, float or str
-    types = typing.get_type_hints(ExperimentRecord)
-    with open(path, newline="") as fh:
-        return [
-            ExperimentRecord(**{name: types[name](row[name]) for name in types})
-            for row in csv.DictReader(fh)
-        ]
 
 
 def machine_metadata() -> dict:

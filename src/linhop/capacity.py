@@ -9,19 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegreeExhausted,
-    InfeasibleStorage,
-    OutOfDomain,
-    SingleMemory,
-    SizeOverflow,
-)
+from .errors import InfeasibleStorage, OutOfDomain, SingleMemory
 from .hopfield import (
     Normalization,
     PatternMatrix,
     RetrievalConfig,
     lowrank_error_bound,
     pattern_radius,
+    plan,
     retrieve_dense,
     retrieve_lowrank,
     separation,
@@ -164,12 +159,17 @@ def run_capacity_experiment(
     trials at once, and count successes.
 
     Under QUERY normalization each output column depends only on its own
-    query, so the batch gives each trial its own retrieval.  The low-rank
-    path is tried first; when its polynomial/rank budget is infeasible on the
-    batch's score interval (the widest of the trials') the dense map is used
-    instead and the row records solver="dense-fallback".  Per-trial RNG
-    streams derive from (seed, M, trial), so results are order-independent.
+    query, so the batch gives each trial its own retrieval.  The batch's
+    ``plan`` (on the widest of the trials' score intervals) picks the path:
+    the low-rank map where the plan holds a fit, otherwise the dense map, and
+    the row records solver="dense-fallback".  A refused plan makes no
+    low-rank call.  Per-trial RNG streams derive from (seed, M, trial), so
+    results are order-independent.
     """
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"m must be finite and positive, got {m}")
+    if eps is not None and not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     if not 0 < perturbation < 1:
         raise ValueError("perturbation must lie in (0, 1)")
     if trials < 0:
@@ -197,12 +197,8 @@ def run_capacity_experiment(
             targets[trial] = mu
             queries[:, trial] = memory.data[:, mu] + perturbation * radius * noise
         batch = PatternMatrix(queries, role="query")
-        try:
-            z = retrieve_lowrank(memory, batch, cfg).Z
-            solver_name = "lowrank"
-        except (DegreeExhausted, SizeOverflow):
-            z = retrieve_dense(memory, batch, cfg).Z
-            solver_name = "dense-fallback"
+        refused = plan(memory, batch, cfg)[0].reason
+        z = (retrieve_dense if refused else retrieve_lowrank)(memory, batch, cfg).Z
         errors = np.linalg.norm(z - memory.data[:, targets], axis=0)
         nearest = np.argmin(
             np.linalg.norm(memory.data[:, :, None] - z[:, None, :], axis=0), axis=0
@@ -218,7 +214,7 @@ def run_capacity_experiment(
                 "success_rate": successes / trials,
                 "mean_error": float(np.mean(errors)),
                 "seed": rng_seed,
-                "solver": solver_name,
+                "solver": "dense-fallback" if refused else "lowrank",
                 "eps": eps_used,
                 "sphere_radius": radius,
             }

@@ -4,8 +4,11 @@ Subcommands cover polynomial fitting, retrieval, the three benchmark sweeps,
 the capacity experiment, the nearest-neighbor reduction, and a deterministic
 self-verification battery.  All output files are written atomically (temp
 file in the target directory, then rename).  A JSON config file may supply
-any flag of the chosen subcommand; explicit command-line flags override
-config values.
+the optional flags of the chosen subcommand, each value of its flag's type
+(a JSON list for a comma-separated flag); explicit command-line flags
+override config values.  Required flags, such as ``--out``, must be given on
+the command line, since the command line is parsed before the config file
+is read.
 """
 
 from __future__ import annotations
@@ -175,20 +178,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
+# the JSON types a config value may take, by its flag's argparse type; JSON
+# writes a whole float such as 2.0 as 2, so float flags take ints too
+_CONFIG_TYPES = {None: str, int: int, float: (int, float), _parse_ints: list, _parse_floats: list}
+
+
+def _check_config_value(action: argparse.Action, key: str, value) -> None:
+    """Refuse, with a ValueError naming ``key``, a config value that the flag
+    behind ``action`` could not hold: one of another type, outside its
+    choices, or null where the flag's default is not."""
+    fits = isinstance(value, _CONFIG_TYPES[action.type]) and (
+        action.choices is None or value in action.choices
+    )
+    if not (fits or value is None and action.default is None):
+        raise ValueError(f"config key {key!r}: {value!r} is not a valid value")
+
+
+def _apply_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     """Config-file values fill in flags of the chosen subcommand that the
-    user did not pass explicitly; the subcommand itself and ``config`` are
-    not flags a config file may set."""
+    user did not pass explicitly, each checked against its flag; the
+    subcommand itself and ``config`` are not flags a config file may set."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
+    subcommands = next(a.choices for a in parser._actions if a.dest == "subcommand")
+    actions = {a.dest: a for a in subcommands[args.subcommand]._actions}
     explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in conf.items():
         attr = key.replace("-", "_")
         if attr in ("subcommand", "config") or not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
         if attr not in explicit:
+            _check_config_value(actions[attr], key, value)
             setattr(args, attr, value)
     return args
 
@@ -450,7 +472,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return _DISPATCH[args.subcommand](args)
     except LinhopError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

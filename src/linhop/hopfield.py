@@ -16,6 +16,12 @@ too loose for the exponent range is the column max subtracted as well.  A
 memory matrix keeps [Xi; 1^T] and its column norms, and QUERY takes each
 normalizer from the ones row of [Xi; 1^T] @ W.
 
+Whether the low-rank construction applies is decided once per snapped score
+interval, by ``plan``: its memoized ``Plan`` holds either the certified fit
+or a refusal, the reason ("degree-exhausted" or "rank-overflow") and the
+refused fit's message.  Drivers read the plan to choose a path; only the
+low-rank pass turns a refusal into ``DegreeExhausted`` or ``SizeOverflow``.
+
 The low-rank path scales both inputs by sqrt(beta), fits an exp polynomial on
 the score interval, factors it through the monomial feature map, and assembles
 the output with the associativity order that never materializes the M x L
@@ -348,48 +354,61 @@ def retrieve_dense(
     )
 
 
+@dataclass(frozen=True)
+class Plan:
+    """Whether the low-rank construction applies on one snapped score
+    interval: the certified fit (``poly`` and its feature map ``fmap``), or a
+    refusal, with its ``reason`` and the refused fit's ``message``."""
+
+    poly: pa.ExpPolynomial | None = None
+    fmap: fm.MonomialFeatureMap | None = None
+    reason: str = ""  # "", "degree-exhausted" or "rank-overflow"
+    message: str = ""
+
+
+# the error each refusal reason stands for when a low-rank pass is asked for
+_REFUSALS = {"degree-exhausted": DegreeExhausted, "rank-overflow": SizeOverflow}
+
 _FIT_CACHE: dict = {}
 
 
-def _fitted_pair(interval: float, delta_a: float, max_degree: int, d: int):
-    """Memoized (polynomial, feature map) pair.  The interval is snapped up to
-    a coarse geometric grid (within 25%) so repeated retrievals with slightly
-    different measured norms reuse one fit; widening the interval only
-    strengthens the certificate.  A fit that fails is memoized too: the same
-    key raises the same error type and message without fitting again."""
-    try:
-        snapped = 1e-6 * 1.25 ** math.ceil(math.log(max(interval, 1e-6) / 1e-6) / math.log(1.25))
-    except OverflowError:
-        raise InvalidBound(
-            f"score interval [-{interval:g}, {interval:g}] overflows floating point"
-        ) from None
-    key = (snapped, delta_a, max_degree, d)
-    entry = _FIT_CACHE.get(key)
-    if entry is None:
-        try:
-            poly = pa.fit_exp_poly(snapped, delta_a, max_degree)
-            entry = (poly, fm.build_feature_map(poly, d))
-        except (DegreeExhausted, SizeOverflow) as exc:
-            entry = exc.with_traceback(None)  # keep no frames alive in the cache
-        if len(_FIT_CACHE) > 64:  # evict the oldest; kept memory states key on fmap
-            del _FIT_CACHE[next(iter(_FIT_CACHE))]
-        _FIT_CACHE[key] = entry
-    if isinstance(entry, Exception):
-        raise type(entry)(*entry.args)
-    return entry
+def plan(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
+    """(Plan, B) for exp on the score interval [-beta d B^2, beta d B^2], B
+    the largest entry of either side.
 
-
-def _fit(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
-    """The memoized (polynomial, feature map) for exp on the score interval
-    [-beta d B^2, beta d B^2], B the largest entry of either side, and B."""
+    The interval is snapped up to a coarse geometric grid (within 25%) so
+    repeated retrievals with slightly different measured norms reuse one
+    plan; widening the interval only strengthens the certificate.  Plans are
+    memoized per (snapped interval, delta_a, max_degree, d), a refusal too,
+    so the same key never fits again.  Bad input is an error, not a refusal:
+    ``DimensionMismatch``, ``NonFiniteInput``, ``InvalidBound`` for an
+    interval that overflows, and the fit's ``ValueError``."""
     _check_dims(memory, queries)
     b_memory, b_queries = memory.max_norm, queries.max_norm
     if not (math.isfinite(b_memory) and math.isfinite(b_queries)):
         raise NonFiniteInput("low-rank retrieval needs finite pattern entries")
     b = max(b_memory, b_queries)
     interval = b * b * cfg.beta * memory.d
-    poly, fmap = _fitted_pair(interval, cfg.delta_a, cfg.max_degree, memory.d)
-    return poly, fmap, b
+    try:
+        snapped = 1e-6 * 1.25 ** math.ceil(math.log(max(interval, 1e-6) / 1e-6) / math.log(1.25))
+    except OverflowError:
+        raise InvalidBound(
+            f"score interval [-{interval:g}, {interval:g}] overflows floating point"
+        ) from None
+    key = (snapped, cfg.delta_a, cfg.max_degree, memory.d)
+    entry = _FIT_CACHE.get(key)
+    if entry is None:
+        try:
+            poly = pa.fit_exp_poly(snapped, cfg.delta_a, cfg.max_degree)
+            entry = Plan(poly, fm.build_feature_map(poly, memory.d))
+        except DegreeExhausted as exc:
+            entry = Plan(reason="degree-exhausted", message=str(exc))
+        except SizeOverflow as exc:
+            entry = Plan(reason="rank-overflow", message=str(exc))
+        if len(_FIT_CACHE) > 64:  # evict the oldest; kept memory states key on fmap
+            del _FIT_CACHE[next(iter(_FIT_CACHE))]
+        _FIT_CACHE[key] = entry
+    return entry, b
 
 
 def _block_rows(fmap) -> int:
@@ -451,7 +470,9 @@ def _memory_state(memory: PatternMatrix, fmap, scale, normalization: Normalizati
 def _lowrank(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
     """The one factored pass: (poly, fmap, B, norm, parts), with the fit,
     the kept memory state of ``_memory_state`` and the monomials of
-    sqrt(beta) X, whose product carries exp(beta Xi^T X) to delta_a.
+    sqrt(beta) X, whose product carries exp(beta Xi^T X) to delta_a.  A
+    refused plan raises its error, ``DegreeExhausted`` or ``SizeOverflow``,
+    with the refused fit's message.
 
     * QUERY: parts is N, the (d+1) x L product state @ U2.T of the kept
       [Xi; 1^T] @ U1 with the query monomials, and norm is its last row, the
@@ -460,7 +481,10 @@ def _lowrank(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
     * MEMORY: parts is (U1, U2), U1 the kept state, and norm their factored
       row sums.  U2 is whole, since the row sums and the output both read
       it."""
-    poly, fmap, b = _fit(memory, queries, cfg)
+    entry, b = plan(memory, queries, cfg)
+    if entry.reason:
+        raise _REFUSALS[entry.reason](entry.message)
+    poly, fmap = entry.poly, entry.fmap
     scale = math.sqrt(cfg.beta)
     state = _memory_state(memory, fmap, scale, cfg.normalization)
     rows = scale * queries.data.T

@@ -69,14 +69,6 @@ class AnnsInstance:
     def d(self) -> int:
         return self.set_a.shape[1]
 
-    def is_balanced(self) -> bool:
-        half = self.d // 2
-        return (
-            self.d % 2 == 0
-            and (self.set_a.sum(axis=1) == half).all()
-            and (self.set_b.sum(axis=1) == half).all()
-        )
-
     def distance_sq(self) -> np.ndarray:
         """n x n matrix of squared distances ||a_i - b_j||^2."""
         diff = self.set_a[:, None, :] - self.set_b[None, :, :]

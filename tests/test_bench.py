@@ -1,5 +1,6 @@
 """Tests for the benchmark harness records and sweeps."""
 
+import csv
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from linhop.bench import (
     error_sweep,
     fit_slope,
     phase_sweep,
-    records_from_csv,
     records_to_csv,
     runtime_scaling,
     summary_json,
@@ -88,12 +88,22 @@ def test_error_sweep_rejects_d_below_1():
         error_sweep([1e-3], d=0)
 
 
-def test_phase_sweep_records_failures():
+def test_phase_sweep_records_failures(monkeypatch):
+    calls = []
+    inner = bench.retrieve_lowrank
+
+    def counted(memory, queries, cfg):
+        calls.append(memory.max_norm)
+        return inner(memory, queries, cfg)
+
+    monkeypatch.setattr(bench, "retrieve_lowrank", counted)
     records = phase_sweep([0.5, 1.0, 6.0], tau=16, d=4, beta=1.0, delta_a=1e-3,
                           degree_cap=8, seed=0)
     assert records[0].flag == ""
     assert records[0].r_prime <= 16**0.5 * 100  # small-B regime succeeds
     assert records[-1].flag in ("degree-exhausted", "rank-overflow")
+    # a refused B makes no low-rank call; each feasible B makes one
+    assert len(calls) == sum(not r.flag for r in records) < len(records)
 
 
 def test_phase_sweep_flags_a_rank_over_the_cap(monkeypatch):
@@ -169,10 +179,11 @@ def test_csv_round_trip_and_slope_reproducible(tmp_path):
     )
     path = tmp_path / "records.csv"
     records_to_csv(records, path)
-    back = records_from_csv(path)
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == len(records)
-    xs = [math.log(r.tau) for r in back]
-    ys = [math.log(r.wall_time_lowrank) for r in back]
+    xs = [math.log(int(r["tau"])) for r in back]
+    ys = [math.log(float(r["wall_time_lowrank"])) for r in back]
     assert fit_slope(xs, ys) == pytest.approx(slopes["lowrank"], abs=1e-9)
 
 

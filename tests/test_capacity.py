@@ -217,8 +217,9 @@ def test_experiment_makes_one_retrieval_per_M(monkeypatch, d, m, beta, fallback)
         monkeypatch.setattr(capacity, name, counted)
     rows = run_capacity_experiment(d, m, beta, [2, 4, 8], trials=25, rng_seed=0)
     assert [r["solver"] for r in rows] == ["dense-fallback" if fallback else "lowrank"] * 3
-    # the low-rank attempt and, where it is infeasible, one dense call
-    assert calls["retrieve_lowrank"] == [25, 25, 25]
+    # one call per M on the path the plan picks: a refused plan makes no
+    # low-rank call
+    assert calls["retrieve_lowrank"] == ([] if fallback else [25, 25, 25])
     assert calls["retrieve_dense"] == ([25, 25, 25] if fallback else [])
 
 

@@ -186,6 +186,62 @@ def test_config_unknown_key_exits_1(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["bench-phase", "--B-list", "0.5"], {"degree-cap": 16.5}),
+        (["bench-phase", "--B-list", "0.5"], {"tau": "256"}),
+        (["bench-phase", "--B-list", "0.5"], {"beta": "0.5"}),
+        (["bench-phase", "--B-list", "0.5"], {"seed": None}),
+        (["approx-exp", "--bound", "1"], {"max-degree": [8]}),
+        (["capacity", "--d", "4", "--M-list", "2"], {"eps": {"radius": 1}}),
+        (["reduction", "--n", "4"], {"solver": "fast"}),
+        (["verify"], {"out": 5}),
+    ],
+    ids=["int-flag-float", "int-flag-string", "float-flag-string", "null-non-null-default",
+         "int-flag-list", "float-flag-object", "choice-outside", "path-number"],
+)
+def test_config_value_of_another_type_exits_1(tmp_path, capsys, argv, config):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    if argv != ["verify"]:
+        argv = argv + ["--out", str(out)]
+    assert main(argv + ["--config", str(conf)]) == 1
+    assert not out.exists()
+    ((key, value),) = config.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"ValueError: config key {key!r}: {value!r} is not a valid value")
+    assert "Traceback" not in err
+
+
+def test_config_values_of_their_flags_types_are_accepted(tmp_path, capsys):
+    # a float flag takes a JSON int, a flag whose default is null takes
+    # null, and a choice flag one of its choices
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tau": 8, "d": 2, "beta": 1, "degree-cap": 4,
+                                "delta-a": 0.01, "seed": 3}))
+    out = tmp_path / "phase.csv"
+    assert main(["bench-phase", "--B-list", "0.5", "--config", str(conf),
+                 "--out", str(out)]) == 0
+    (row,) = read_records(out)
+    assert (row["tau"], row["d"], row["beta"], row["delta_a"], row["seed"]) == (
+        "8", "2", "1", "0.01", "3"
+    )
+    conf.write_text(json.dumps({"m": None, "eps": None, "trials": 5}))
+    out = tmp_path / "capacity.csv"
+    assert main(["capacity", "--d", "4", "--M-list", "2", "--config", str(conf),
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["m"], row["trials"]) == ("2.0", "5")
+    conf.write_text(json.dumps({"plant": None, "solver": "lowrank", "trials": 0}))
+    out = tmp_path / "report.json"
+    assert main(["reduction", "--n", "4", "--config", str(conf), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["promised_queries"] == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("key", ["subcommand", "config"])
 def test_config_cannot_pick_the_subcommand(tmp_path, capsys, key):
     conf = tmp_path / "conf.json"
@@ -246,9 +302,31 @@ def test_bench_scaling_empty_tau_list_exits_1(tmp_path, capsys):
         (["bench-error", "--delta-a-list", "1e-3", "--d", "0"], None, "d must be >= 1"),
         (["bench-phase", "--B-list", "0.5"], {"d": 0}, "d must be >= 1"),
         (["reduction", "--n", "4", "--trials", "-1"], None, "trials must be >= 0, got -1"),
+        (["capacity", "--d", "4", "--M-list", "2", "--m", "0"], None,
+         "m must be finite and positive, got 0.0"),
+        (["capacity", "--d", "4", "--M-list", "2", "--m", "-1"], None,
+         "m must be finite and positive, got -1.0"),
+        (["capacity", "--d", "4", "--M-list", "2", "--m", "inf"], None,
+         "m must be finite and positive, got inf"),
+        (["capacity", "--d", "4", "--M-list", "2", "--eps=-1"], None,
+         "eps must be >= 0, got -1.0"),
+        (["capacity", "--d", "4", "--M-list", "2", "--eps", "nan"], None,
+         "eps must be >= 0, got nan"),
+        (["bench-phase", "--B-list", "inf"], None, "B must be finite and positive, got inf"),
+        (["bench-phase", "--B-list=-1"], None, "B must be finite and positive, got -1.0"),
+        (["bench-phase", "--B-list", "0"], None, "B must be finite and positive, got 0.0"),
+        (["bench-error", "--delta-a-list", "1e-3", "--B", "inf"], None,
+         "B must be finite and positive, got inf"),
+        (["bench-scaling", "--tau", "16", "--B", "inf"], None,
+         "B must be finite and positive, got inf"),
+        (["bench-scaling", "--tau", "16", "--B", "0"], None,
+         "B must be finite and positive, got 0.0"),
     ],
     ids=["capacity", "bench-scaling", "bench-phase", "bench-error", "config-d",
-         "reduction-trials"],
+         "reduction-trials", "capacity-m-0", "capacity-m-negative", "capacity-m-inf",
+         "capacity-eps-negative", "capacity-eps-nan", "bench-phase-B-inf",
+         "bench-phase-B-negative", "bench-phase-B-0", "bench-error-B-inf",
+         "bench-scaling-B-inf", "bench-scaling-B-0"],
 )
 def test_out_of_range_counts_exit_1(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
 from linhop import feature_map as fm
 from linhop import hopfield, poly_approx
@@ -31,6 +32,7 @@ from linhop.hopfield import (
     dense_normalizers,
     energy,
     fixed_point_iterate,
+    lowrank_error_bound,
     lowrank_normalizers,
     lse,
     max_norm_error,
@@ -573,10 +575,10 @@ def test_lowrank_memory_assembly_matches_factor_scaling():
     mem = random_patterns(rng, 8, 40)
     q = random_patterns(rng, 8, 30, role="query")
     cfg = RetrievalConfig(beta=0.5, normalization=Normalization.MEMORY)
-    poly, fmap, _ = hopfield._fit(mem, q, cfg)
+    fit = hopfield.plan(mem, q, cfg)[0]
     scale = math.sqrt(cfg.beta)
-    u1, u2 = build_factor_matrices(fmap, scale * mem.data.T, scale * q.data.T)
-    assert np.max(np.abs(u1 @ u2.T - poly(cfg.beta * mem.data.T @ q.data))) <= 1e-9
+    u1, u2 = build_factor_matrices(fit.fmap, scale * mem.data.T, scale * q.data.T)
+    assert np.max(np.abs(u1 @ u2.T - fit.poly(cfg.beta * mem.data.T @ q.data))) <= 1e-9
     norm = factored_row_sums(u1, u2)
     reference = (mem.data @ (u1 / norm[:, None])) @ u2.T
     z = retrieve_lowrank(mem, q, cfg).Z
@@ -584,34 +586,95 @@ def test_lowrank_memory_assembly_matches_factor_scaling():
 
 
 @pytest.mark.parametrize(
-    "d, entry, cfg, error",
+    "d, entry, cfg, error, reason, interpolates",
     [
-        # interval beta d B^2 = 64 needs more than degree 8
-        (4, 4.0, RetrievalConfig(beta=1.0, max_degree=8), DegreeExhausted),
+        # interval beta d B^2 = 64 is past the rounding floor (about 14.9 at
+        # delta_a = 1e-3), so it is refused before any interpolation
+        (4, 4.0, RetrievalConfig(beta=1.0, max_degree=8), DegreeExhausted,
+         "degree-exhausted", False),
         # interval 256 * (1/16)^2 = 1 fits at degree 4, but its d = 256 rank
         # C(260, 4) = 186,043,585 exceeds the default cap
-        (256, 0.0625, RetrievalConfig(beta=1.0), SizeOverflow),
+        (256, 0.0625, RetrievalConfig(beta=1.0), SizeOverflow, "rank-overflow", True),
+        # interval 4 is inside the floor, but needs more than degree 3
+        (4, 1.0, RetrievalConfig(beta=1.0, max_degree=3), DegreeExhausted,
+         "degree-exhausted", True),
     ],
+    ids=["4-4.0-cfg0-DegreeExhausted", "256-0.0625-cfg1-SizeOverflow",
+         "4-1.0-cfg2-DegreeExhausted"],
 )
-def test_failed_fit_is_not_repeated(monkeypatch, d, entry, cfg, error):
+def test_failed_fit_is_not_repeated(
+    monkeypatch, d, entry, cfg, error, reason, interpolates
+):
     monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
-    calls = []
+    calls, interpolations = [], []
     fit = poly_approx.fit_exp_poly
+    interpolate = Chebyshev.interpolate.__func__
 
     def counting_fit(*args):
         calls.append(args)
         return fit(*args)
 
+    def counting_interpolate(cls, *args, **kwargs):
+        interpolations.append(args[1])
+        return interpolate(cls, *args, **kwargs)
+
     monkeypatch.setattr(poly_approx, "fit_exp_poly", counting_fit)
+    monkeypatch.setattr(Chebyshev, "interpolate", classmethod(counting_interpolate))
     mem = PatternMatrix(np.full((d, 3), entry))
     q = PatternMatrix(np.full((d, 2), entry), role="query")
     messages = []
-    for _ in range(2):
+    for call in (retrieve_lowrank, retrieve_lowrank, lowrank_normalizers):
         with pytest.raises(error) as info:
-            retrieve_lowrank(mem, q, cfg)
+            call(mem, q, cfg)
         messages.append(str(info.value))
     assert len(calls) == 1
-    assert messages[0] == messages[1]
+    assert bool(interpolations) == interpolates
+    assert messages[0] == messages[1] == messages[2]
+    # the plan is the memoized refusal: the reason and message each raised
+    # error stands for, with no fit
+    refused, b = hopfield.plan(mem, q, cfg)
+    assert (refused.reason, refused.message) == (reason, messages[0])
+    assert refused.poly is None and refused.fmap is None and b == entry
+    assert hopfield.plan(mem, q, cfg)[0] is refused
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("normalization", list(Normalization))
+def test_plan_holds_the_fit_a_retrieval_uses(monkeypatch, normalization):
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    rng = np.random.default_rng(29)
+    mem = random_patterns(rng, 4, 30)
+    q = random_patterns(rng, 4, 6, b=1.5, role="query")
+    cfg = RetrievalConfig(beta=0.25, normalization=normalization)
+    fit, b = hopfield.plan(mem, q, cfg)
+    assert (fit.reason, fit.message) == ("", "")
+    assert b == max(mem.max_norm, q.max_norm) == q.max_norm
+    assert fit.poly.interval_bound >= cfg.beta * mem.d * b * b
+    out = retrieve_lowrank(mem, q, cfg)
+    assert (out.degree_used, out.rank_used) == (fit.poly.degree, fit.fmap.rank)
+    assert out.error_bound == lowrank_error_bound(mem.count, b, cfg.delta_a)
+    assert hopfield.plan(mem, q, cfg)[0] is fit
+    assert len(hopfield._FIT_CACHE) == 1
+
+
+def test_plan_errors_are_not_refusals(monkeypatch):
+    # bad input raises from plan and leaves nothing in the cache
+    monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+    mem = PatternMatrix(np.ones((3, 4)))
+    cases = [
+        (PatternMatrix(np.ones((2, 4)), role="query"), RetrievalConfig(beta=1.0),
+         DimensionMismatch),
+        (PatternMatrix(np.array([[np.nan], [1.0], [1.0]]), role="query"),
+         RetrievalConfig(beta=1.0), NonFiniteInput),
+        (PatternMatrix(np.full((3, 1), 1e200), role="query"), RetrievalConfig(beta=1.0),
+         InvalidBound),
+        (PatternMatrix(np.ones((3, 1)), role="query"),
+         RetrievalConfig(beta=1.0, max_degree=0), ValueError),
+    ]
+    for q, cfg, error in cases:
+        with pytest.raises(error):
+            hopfield.plan(mem, q, cfg)
+    assert hopfield._FIT_CACHE == {}
 
 
 @pytest.mark.parametrize(
@@ -726,11 +789,11 @@ def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
     cfg = RetrievalConfig(beta=0.5)
 
     def fill(first, count):
-        # distinct d = 1 keys, one per snapped interval, each a cheap fit
+        # distinct d = 1 keys, one per snapped interval, each a cheap fit:
+        # the interval beta B^2 sits halfway between two grid points
         for k in range(first, first + count):
-            hopfield._fitted_pair(
-                1e-6 * 1.25 ** (k + 0.5), cfg.delta_a, cfg.max_degree, 1
-            )
+            one = PatternMatrix(np.full((1, 1), math.sqrt(1e-6 * 1.25 ** (k + 0.5) / cfg.beta)))
+            hopfield.plan(one, one, cfg)
 
     fill(0, 64)
     rng = np.random.default_rng(33)
@@ -738,12 +801,11 @@ def test_fit_cache_evicts_only_its_oldest_entry(monkeypatch):
     q = random_patterns(rng, 4, 5, role="query")
     retrieve_lowrank(mem, q, cfg)  # the 65th key, and the newest
     assert len(hopfield._FIT_CACHE) == 65
-    poly, fmap, _ = hopfield._fit(mem, q, cfg)
+    fit = hopfield.plan(mem, q, cfg)[0]
     rows = _count_memory_rows(monkeypatch)
     fill(64, 1)  # one key past the bound
     assert len(hopfield._FIT_CACHE) == 65
-    again = hopfield._fit(mem, q, cfg)
-    assert again[0] is poly and again[1] is fmap
+    assert hopfield.plan(mem, q, cfg)[0] is fit
     retrieve_lowrank(mem, q, cfg)
     assert sum(rows) == 0  # the kept memory state is still current
 
@@ -874,7 +936,7 @@ def test_lowrank_memory_side_is_rebuilt_on_change(monkeypatch, change):
     if change == "beta":
         # the same snapped fit interval, so only sqrt(beta) tells them apart
         cfg = replace(cfg, beta=0.48)
-        assert hopfield._fit(mem, q, cfg)[1] is hopfield._fit(mem, q, replace(cfg, beta=0.5))[1]
+        assert hopfield.plan(mem, q, cfg)[0] is hopfield.plan(mem, q, replace(cfg, beta=0.5))[0]
     elif change == "normalization":
         cfg = replace(cfg, normalization=Normalization.MEMORY)
     elif change == "delta_a":
@@ -900,7 +962,7 @@ def test_query_blocks_match_unblocked_factors(monkeypatch, rows_per_block):
     mem = random_patterns(rng, 4, 50)
     q = random_patterns(rng, 4, 23, b=0.5, role="query")
     cfg = RetrievalConfig(beta=0.5)
-    _, fmap, _ = hopfield._fit(mem, q, cfg)
+    fmap = hopfield.plan(mem, q, cfg)[0].fmap
     budget = 3 * fmap.rank + 1 if rows_per_block == 3 else fmap.rank - 1
     monkeypatch.setattr(hopfield, "FACTOR_BLOCK_ELEMENTS", budget)
     rows = _count_memory_rows(monkeypatch)
@@ -933,7 +995,7 @@ def test_query_retrieval_holds_one_block():
     mem = random_patterns(rng, 8, 2048)
     q = random_patterns(rng, 8, 2048, role="query")
     cfg = RetrievalConfig(beta=0.35)
-    _, fmap, _ = hopfield._fit(mem, q, cfg)
+    fmap = hopfield.plan(mem, q, cfg)[0].fmap
     assert fmap.rank == 12870
     rows = hopfield.FACTOR_BLOCK_ELEMENTS // fmap.rank
     block_bytes = 8 * fmap.rank * rows

@@ -206,9 +206,15 @@ def test_planted_instance_kinds():
         planted_instance("case3", 6, 8, 3.0, 0.09)
 
 
+def assert_balanced(inst):
+    # every row of both sets holds d / 2 ones
+    half = inst.d // 2
+    assert (inst.set_a.sum(axis=1) == half).all() and (inst.set_b.sum(axis=1) == half).all()
+
+
 def test_generate_balanced_rows():
     inst = generate_balanced_instance(4, 8, t=3.0, delta=0.09, rng_seed=9)
-    assert inst.is_balanced()
+    assert_balanced(inst)
 
 
 def test_generate_planted_zero_duplicates_row():
@@ -219,7 +225,7 @@ def test_generate_planted_zero_duplicates_row():
 def test_generate_planted_two():
     inst = generate_balanced_instance(4, 8, t=3.0, delta=0.09, planted=2, rng_seed=11)
     assert inst.distance_sq().min() <= 2
-    assert inst.is_balanced()
+    assert_balanced(inst)
 
 
 def test_generate_rejects_bad_plants():
