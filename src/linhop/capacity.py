@@ -138,11 +138,6 @@ def capacity_lower_bound(params: CapacityParams) -> float:
     return math.sqrt(params.p) * c ** ((params.d - 1) / 4.0)
 
 
-def _sample_sphere(rng: np.random.Generator, d: int, m: float) -> np.ndarray:
-    v = rng.standard_normal(d)
-    return m * v / np.linalg.norm(v)
-
-
 def run_capacity_experiment(
     d: int,
     m: float,
@@ -158,13 +153,20 @@ def run_capacity_experiment(
     pattern by perturbation * R per trial, run one retrieval step on all
     trials at once, and count successes.
 
+    Each M draws from its own generator, seeded by (seed, M), so a row does
+    not depend on the order of ``M_list``.  It draws, in this order, the
+    memory (M x d normals, one pattern per row, scaled to radius m), every
+    trial's target index, and every trial's noise direction (trials x d
+    normals, one per row, scaled to unit length).
+
     Under QUERY normalization each output column depends only on its own
     query, so the batch gives each trial its own retrieval.  The batch's
     ``plan`` (on the widest of the trials' score intervals) picks the path:
     the low-rank map where the plan holds a fit, otherwise the dense map, and
     the row records solver="dense-fallback".  A refused plan makes no
-    low-rank call.  Per-trial RNG streams derive from (seed, M, trial), so
-    results are order-independent.
+    low-rank call.  The default success radius is R/2 plus the 2 M B delta_a
+    the low-rank path certifies, B the plan's largest entry of memory and
+    queries.
     """
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"m must be finite and positive, got {m}")
@@ -180,25 +182,19 @@ def run_capacity_experiment(
     rows = []
     for m_count in M_list:
         rng = np.random.default_rng([rng_seed, m_count])
-        memory = PatternMatrix(
-            np.column_stack([_sample_sphere(rng, d, m) for _ in range(m_count)])
-        )
+        xi = rng.standard_normal((m_count, d)).T
+        memory = PatternMatrix(m * xi / np.linalg.norm(xi, axis=0))
         # lone pattern: any finite sphere works
         radius = pattern_radius(memory) if m_count >= 2 else m
-        margin = lowrank_error_bound(m_count, memory.max_norm, delta_a)
+        targets = rng.integers(m_count, size=trials)
+        noise = rng.standard_normal((trials, d)).T
+        noise /= np.linalg.norm(noise, axis=0)
+        batch = PatternMatrix(memory.data[:, targets] + perturbation * radius * noise, role="query")
+        fit, b = plan(memory, batch, cfg)
+        # the margin the low-rank path certifies, B over memory and queries
+        margin = lowrank_error_bound(m_count, b, delta_a)
         eps_used = (radius / 2.0 + margin) if eps is None else eps
-        targets = np.empty(trials, dtype=int)
-        queries = np.empty((d, trials))
-        for trial in range(trials):
-            trng = np.random.default_rng([rng_seed, m_count, trial])
-            mu = int(trng.integers(m_count))
-            noise = trng.standard_normal(d)
-            noise /= np.linalg.norm(noise)
-            targets[trial] = mu
-            queries[:, trial] = memory.data[:, mu] + perturbation * radius * noise
-        batch = PatternMatrix(queries, role="query")
-        refused = plan(memory, batch, cfg)[0].reason
-        z = (retrieve_dense if refused else retrieve_lowrank)(memory, batch, cfg).Z
+        z = (retrieve_dense if fit.reason else retrieve_lowrank)(memory, batch, cfg).Z
         errors = np.linalg.norm(z - memory.data[:, targets], axis=0)
         nearest = np.argmin(
             np.linalg.norm(memory.data[:, :, None] - z[:, None, :], axis=0), axis=0
@@ -214,7 +210,7 @@ def run_capacity_experiment(
                 "success_rate": successes / trials,
                 "mean_error": float(np.mean(errors)),
                 "seed": rng_seed,
-                "solver": "dense-fallback" if refused else "lowrank",
+                "solver": "dense-fallback" if fit.reason else "lowrank",
                 "eps": eps_used,
                 "sphere_radius": radius,
             }

@@ -82,23 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linhop",
         description="Hopfield memory retrieval: exact and almost-linear paths, "
         "with benchmark and verification drivers.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"linhop {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def subcommand(name, help):
+        # flags must be spelled in full: an abbreviation would lose to the
+        # config file, which tells explicit flags by their full names
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="JSON file supplying default flag values")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        return p
 
-    p = sub.add_parser("approx-exp", help="fit the exp polynomial and save JSON")
-    common(p)
+    p = subcommand("approx-exp", "fit the exp polynomial and save JSON")
     p.add_argument("--bound", type=float, required=True, help="interval half width")
     p.add_argument("--delta-a", type=float, default=1e-3, help="relative error target (default 1e-3)")
     p.add_argument("--max-degree", type=int, default=32, help="degree cap (default 32)")
     p.add_argument("--out", required=True, help="output JSON path")
 
-    p = sub.add_parser("retrieve", help="run one retrieval step on CSV patterns")
-    common(p)
+    p = subcommand("retrieve", "run one retrieval step on CSV patterns")
     p.add_argument("--memory", required=True, help="memory pattern CSV")
     p.add_argument("--queries", required=True, help="query pattern CSV")
     p.add_argument("--beta", type=float, default=None, help="inverse temperature (default 1/d)")
@@ -112,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output CSV path (sidecar: <out>.json)")
 
-    p = sub.add_parser("bench-scaling", help="dense vs low-rank runtime sweep")
-    common(p)
+    p = subcommand("bench-scaling", "dense vs low-rank runtime sweep")
     p.add_argument("--tau", type=_parse_ints, required=True, help="comma-separated tau values")
     p.add_argument("--d", type=int, default=4, help="pattern dimension (default 4)")
     p.add_argument("--beta", type=float, default=None, help="inverse temperature (default 1/d)")
@@ -123,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="records CSV path")
     p.add_argument("--summary", help="slope/metadata JSON path")
 
-    p = sub.add_parser("bench-error", help="measured error vs the 2MB*delta_a line")
-    common(p)
+    p = subcommand("bench-error", "measured error vs the 2MB*delta_a line")
     p.add_argument("--delta-a-list", type=_parse_floats, required=True, help="comma-separated delta_a values")
     p.add_argument("--d", type=int, default=4, help="pattern dimension (default 4)")
     p.add_argument("--M", type=int, default=32, help="memory count (default 32)")
@@ -133,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None, help="inverse temperature (default 1/d)")
     p.add_argument("--out", required=True, help="records CSV path")
 
-    p = sub.add_parser("bench-phase", help="low-rank feasibility as B grows")
-    common(p)
+    p = subcommand("bench-phase", "low-rank feasibility as B grows")
     p.add_argument("--B-list", type=_parse_floats, required=True, help="comma-separated increasing B values")
     p.add_argument("--tau", type=int, default=256, help="M = L = tau (default 256)")
     p.add_argument("--d", type=int, default=4, help="pattern dimension (default 4)")
@@ -143,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=int, default=16, help="polynomial degree cap (default 16)")
     p.add_argument("--out", required=True, help="records CSV path")
 
-    p = sub.add_parser("capacity", help="empirical storage/retrieval success rates")
-    common(p)
+    p = subcommand("capacity", "empirical storage/retrieval success rates")
     p.add_argument("--d", type=int, required=True, help="pattern dimension")
     p.add_argument("--m", type=float, default=None, help="sphere radius (default sqrt(d))")
     p.add_argument("--beta", type=float, default=None, help="inverse temperature (default 1/d)")
@@ -155,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-a", type=float, default=1e-3, help="relative error target (default 1e-3)")
     p.add_argument("--out", required=True, help="results CSV path")
 
-    p = sub.add_parser("reduction", help="gap nearest-neighbor decision via retrieval")
-    common(p)
+    p = subcommand("reduction", "gap nearest-neighbor decision via retrieval")
     p.add_argument("--n", type=int, required=True, help="points per side")
     p.add_argument("--d", type=int, default=8, help="binary dimension (default 8)")
     p.add_argument("--t", type=float, default=3.0, help="distance threshold (default 3)")
@@ -171,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["dense", "lowrank"], default="dense", help="retrieval path (default dense)")
     p.add_argument("--out", required=True, help="report JSON path")
 
-    p = sub.add_parser("verify", help="run the deterministic property battery")
-    common(p)
+    p = subcommand("verify", "run the deterministic property battery")
     p.add_argument("--out", default="verify_report.json", help="report JSON path (default verify_report.json)")
 
     return parser

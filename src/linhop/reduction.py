@@ -291,23 +291,24 @@ def solve_gap_anns_via_ahop(inst: AnnsInstance, solver: str = "dense") -> CaseDe
 
 
 def _random_balanced_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n rows of d/2 ones each; row i's ones are the first d/2 entries of a
+    random permutation, the same draws as one ``rng.permutation(d)`` per row."""
+    ones = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)[:, : d // 2]
     rows = np.zeros((n, d), dtype=np.int64)
-    for i in range(n):
-        ones = rng.permutation(d)[: d // 2]
-        rows[i, ones] = 1
+    np.put_along_axis(rows, ones, 1, axis=1)
     return rows
 
 
-def _swap_k(rng: np.random.Generator, row: np.ndarray, k: int) -> np.ndarray:
-    """Copy of a balanced row with k/2 one-positions and k/2 zero-positions
-    exchanged, i.e. squared distance exactly k, weight preserved."""
-    out = row.copy()
-    ones = np.flatnonzero(row == 1)
-    zeros = np.flatnonzero(row == 0)
-    drop = rng.choice(ones, size=k // 2, replace=False)
-    add = rng.choice(zeros, size=k // 2, replace=False)
-    out[drop] = 0
-    out[add] = 1
+def _swap_k(rng: np.random.Generator, rows: np.ndarray, k: int) -> np.ndarray:
+    """Copies of balanced rows, each with k/2 of its one-positions and k/2 of
+    its zero-positions exchanged, i.e. squared distance exactly k from its
+    source, weight preserved.  One uniform key per entry picks both: a row's
+    ones sort first by key, then its zeros, and the lowest k/2 of each swap."""
+    order = np.argsort(rng.random(rows.shape) + (rows == 0), axis=1)
+    half, weight = k // 2, rows.shape[1] // 2
+    out = rows.copy()
+    np.put_along_axis(out, order[:, :half], 0, axis=1)
+    np.put_along_axis(out, order[:, weight : weight + half], 1, axis=1)
     return out
 
 
@@ -319,8 +320,12 @@ def generate_balanced_instance(
     planted: int | None = None,
     rng_seed: int = 0,
 ) -> AnnsInstance:
-    """Random balanced instance; if ``planted`` is given, one (i, j) pair is
-    placed at squared distance exactly ``planted`` (must be even)."""
+    """Random balanced instance from one generator seeded by (seed, n, d):
+    the a-rows, then the b-rows (each row the draws of one
+    ``rng.permutation(d)``).  If ``planted`` is given, it then draws a pair
+    (i, j) and replaces b_j by a_i with ``planted``/2 ones and zeros swapped
+    (``_swap_k``), so the pair sits at squared distance exactly ``planted``
+    (must be even)."""
     if d % 2 != 0:
         raise InfeasiblePlant("d must be even for balanced rows")
     rng = np.random.default_rng([rng_seed, n, d])
@@ -333,7 +338,7 @@ def generate_balanced_instance(
             )
         i = int(rng.integers(n))
         j = int(rng.integers(n))
-        b[j] = _swap_k(rng, a[i], planted)
+        b[j] = _swap_k(rng, a[i : i + 1], planted)[0]
     return AnnsInstance(a, b, t=t, delta=delta)
 
 
@@ -342,7 +347,9 @@ def generate_clustered_case2_instance(
 ) -> AnnsInstance:
     """Instance whose every query is case-2 promised: the a-rows cluster
     around a balanced center (one swap away) and the b-rows cluster around its
-    complement, so every pair is at squared distance >= d - 4."""
+    complement, so every pair is at squared distance >= d - 4.  One generator
+    seeded by (seed, n, d, 2) draws the center, then one ``_swap_k`` batch
+    per side: the n a-rows, then the n b-rows."""
     if d % 2 != 0:
         raise InfeasiblePlant("d must be even for balanced rows")
     if d - 4 < (1.0 + delta) * t:
@@ -350,11 +357,9 @@ def generate_clustered_case2_instance(
             f"cluster construction needs d - 4 >= (1+delta)*t, got d={d}, t={t}"
         )
     rng = np.random.default_rng([rng_seed, n, d, 2])
-    center = np.zeros(d, dtype=np.int64)
-    center[rng.permutation(d)[: d // 2]] = 1
-    a = np.stack([_swap_k(rng, center, 2) for _ in range(n)])
-    anti = 1 - center
-    b = np.stack([_swap_k(rng, anti, 2) for _ in range(n)])
+    center = np.tile(_random_balanced_rows(rng, 1, d), (n, 1))
+    a = _swap_k(rng, center, 2)
+    b = _swap_k(rng, 1 - center, 2)
     return AnnsInstance(a, b, t=t, delta=delta)
 
 

@@ -246,6 +246,18 @@ def test_experiment_refuses_infeasible_fits_without_fitting(monkeypatch):
     assert len(interpolations) > 0
 
 
+def experiment_draws(seed, m_count, d, m, trials):
+    """One M's draws, rebuilt pattern by pattern and trial by trial from the
+    experiment's (seed, M) stream: the memory, the targets, the unit noise."""
+    rng = np.random.default_rng([seed, m_count])
+    xi = np.column_stack(
+        [m * v / np.linalg.norm(v) for v in rng.standard_normal((m_count, d))]
+    )
+    targets = [int(mu) for mu in rng.integers(m_count, size=trials)]
+    noise = [v / np.linalg.norm(v) for v in rng.standard_normal((trials, d))]
+    return xi, targets, noise
+
+
 def test_experiment_fallback_matches_per_trial_dense_loop():
     d, m, beta, trials, seed = 8, math.sqrt(8), 1.0, 60, 4
     rows = run_capacity_experiment(
@@ -254,19 +266,14 @@ def test_experiment_fallback_matches_per_trial_dense_loop():
     cfg = RetrievalConfig(beta=beta)
     for row in rows:
         m_count = row["M"]
-        # the experiment's memory: M draws on the radius-m sphere
-        rng = np.random.default_rng([seed, m_count])
-        draws = [rng.standard_normal(d) for _ in range(m_count)]
-        xi = np.column_stack([m * v / np.linalg.norm(v) for v in draws])
+        xi, targets, noise = experiment_draws(seed, m_count, d, m, trials)
         memory = PatternMatrix(xi)
         radius = pattern_radius(memory)
-        eps = radius / 2.0 + lowrank_error_bound(m_count, memory.max_norm, 1e-3)
+        queries = [xi[:, mu] + 0.1 * radius * u for mu, u in zip(targets, noise)]
+        b = max(memory.max_norm, max(float(np.max(np.abs(q))) for q in queries))
+        eps = radius / 2.0 + lowrank_error_bound(m_count, b, 1e-3)
         successes, errors = 0, []
-        for trial in range(trials):
-            trng = np.random.default_rng([seed, m_count, trial])
-            mu = int(trng.integers(m_count))
-            noise = trng.standard_normal(d)
-            query = xi[:, mu] + 0.1 * radius * noise / np.linalg.norm(noise)
+        for mu, query in zip(targets, queries):
             batch = PatternMatrix(query[:, None], role="query")
             z = retrieve_dense(memory, batch, cfg).Z
             err = float(np.linalg.norm(z[:, 0] - xi[:, mu]))
@@ -275,8 +282,33 @@ def test_experiment_fallback_matches_per_trial_dense_loop():
             successes += err <= eps and nearest == mu
         assert row["solver"] == "dense-fallback"
         assert row["success_rate"] == successes / trials
-        assert row["eps"] == eps and row["sphere_radius"] == radius
+        # one norm per vector here, one per column there: a few ulps apart
+        assert row["eps"] == pytest.approx(eps, rel=1e-14, abs=0)
+        assert row["sphere_radius"] == pytest.approx(radius, rel=1e-14, abs=0)
         assert abs(row["mean_error"] - float(np.mean(errors))) <= 1e-12
+
+
+def test_experiment_eps_is_the_certified_margin_over_both_sides(monkeypatch):
+    planned = []
+    inner = capacity.plan
+
+    def recorded(memory, queries, cfg):
+        planned.append((memory, queries))
+        return inner(memory, queries, cfg)
+
+    monkeypatch.setattr(capacity, "plan", recorded)
+    rows = run_capacity_experiment(8, math.sqrt(8), 1.0, [4, 16], trials=50, rng_seed=0)
+    for row, (memory, queries) in zip(rows, planned, strict=True):
+        # a query entry above every memory entry: B comes from the queries
+        assert queries.max_norm > memory.max_norm
+        margin = lowrank_error_bound(row["M"], queries.max_norm, 1e-3)
+        assert row["eps"] == pattern_radius(memory) / 2.0 + margin
+
+
+def test_experiment_row_does_not_depend_on_the_other_Ms():
+    alone = run_capacity_experiment(8, 2.0, 1.0, [8], trials=30, rng_seed=5)
+    after = run_capacity_experiment(8, 2.0, 1.0, [2, 8], trials=30, rng_seed=5)
+    assert after[1] == alone[0]
 
 
 def test_experiment_csv_writes_every_row_key(tmp_path):
@@ -324,9 +356,9 @@ def test_experiment_scoring_matches_per_trial_loop(monkeypatch, d, m, beta, seed
     assert len(returned) == len(rows)  # a failed low-rank attempt returns nothing
     for row, (xi, z) in zip(rows, returned):
         m_count = row["M"]
+        _, targets, _ = experiment_draws(seed, m_count, d, m, trials)
         successes, errors = 0, []
-        for trial in range(trials):
-            mu = int(np.random.default_rng([seed, m_count, trial]).integers(m_count))
+        for trial, mu in enumerate(targets):
             err = float(np.linalg.norm(z[:, trial] - xi[:, mu]))
             errors.append(err)
             nearest = int(np.argmin(np.linalg.norm(xi - z[:, trial, None], axis=0)))

@@ -176,6 +176,16 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_abbreviated_flag_exits_2_rather_than_losing_to_the_config(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"delta-a": 0.01}))
+    out = tmp_path / "p.json"
+    assert main(["approx-exp", "--config", str(conf), "--bound", "1",
+                 "--delta", "0.001", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --delta 0.001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_unknown_key_exits_1(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     # "threads" was a flag once; a config that still sets it is unknown too

@@ -217,6 +217,37 @@ def test_generate_balanced_rows():
     assert_balanced(inst)
 
 
+def test_generate_unplanted_matches_per_row_permutations():
+    # the reference draws one permutation per row, a-rows before b-rows
+    for seed, n, d in [(0, 8, 8), (13, 16, 10), (21, 32, 8), (5, 3, 2)]:
+        inst = generate_balanced_instance(n, d, t=3.0, delta=0.09, rng_seed=seed)
+        rng = np.random.default_rng([seed, n, d])
+        for rows in (inst.set_a, inst.set_b):
+            expected = np.zeros((n, d), dtype=np.int64)
+            for i in range(n):
+                expected[i, rng.permutation(d)[: d // 2]] = 1
+            assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("d", [2, 8, 10, 32])
+def test_swap_k_keeps_weight_at_distance_k(d):
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        rows = reduction._random_balanced_rows(rng, 12, d)
+        for k in range(0, d + 1, 2):
+            out = reduction._swap_k(rng, rows, k)
+            assert (out.sum(axis=1) == d // 2).all()
+            assert (((out - rows) ** 2).sum(axis=1) == k).all()
+
+
+@pytest.mark.parametrize("n, d, t", [(8, 8, 3.0), (16, 10, 4.0), (32, 8, 3.0)])
+def test_clustered_instances_are_all_case2(n, d, t):
+    for seed in range(50):
+        inst = generate_clustered_case2_instance(n, d, t, 0.09, rng_seed=seed)
+        assert_balanced(inst)
+        assert classify_queries(inst) == ["case2"] * n
+
+
 def test_generate_planted_zero_duplicates_row():
     inst = generate_balanced_instance(4, 8, t=1.0, delta=0.09, planted=0, rng_seed=10)
     assert inst.distance_sq().min() == 0
