@@ -196,9 +196,8 @@ def run_capacity_experiment(
         eps_used = (radius / 2.0 + margin) if eps is None else eps
         z = (retrieve_dense if fit.reason else retrieve_lowrank)(memory, batch, cfg).Z
         errors = np.linalg.norm(z - memory.data[:, targets], axis=0)
-        nearest = np.argmin(
-            np.linalg.norm(memory.data[:, :, None] - z[:, None, :], axis=0), axis=0
-        )
+        # every pattern has norm m, so the nearest one has the largest inner product
+        nearest = np.argmax(memory.data.T @ z, axis=0)
         successes = int(np.count_nonzero((errors <= eps_used) & (nearest == targets)))
         rows.append(
             {

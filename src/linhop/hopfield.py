@@ -7,14 +7,18 @@ Patterns are stored column-wise.  Two normalization conventions are supported:
 * ``MEMORY``: Z = Xi @ D^{-1} @ A with D = diag(row sums of A), the convention
   the reduction analysis uses.
 
-The dense path runs one kernel in one pass over chunks of the score matrix:
-QUERY chunks over query columns, MEMORY over memories, so every chunk holds
-whole normalizers.  Each normalized column is shifted by its Cauchy-Schwarz
-bound beta R ||b_j|| (R the other side's largest column norm), folded into
-the score matmul as a ones row, so no max pass runs; only where that bound is
+The dense path runs one kernel in one pass over tiles of the score matrix.
+Each normalized column is shifted by its Cauchy-Schwarz bound
+beta R ||b_j|| (R the other side's largest column norm), folded into the
+score matmul as a ones row, so no max pass runs; only where that bound is
 too loose for the exponent range is the column max subtracted as well.  A
 memory matrix keeps [Xi; 1^T] and its column norms, and QUERY takes each
-normalizer from the ones row of [Xi; 1^T] @ W.
+normalizer from the ones row of [Xi; 1^T] @ W.  Since the shift is known
+before any score is, a QUERY tile needs no whole column: it is a run of
+memories by a run of queries, within ``DENSE_TILE_ELEMENTS`` so that it
+stays in L2, and adds its product into its queries' numerators and
+normalizers.  MEMORY divides by row sums before the value product, so it,
+and the max pass, walk chunks of whole columns.
 
 Whether the low-rank construction applies is decided once per snapped score
 interval, by ``plan``: its memoized ``Plan`` holds either the certified fit
@@ -72,9 +76,34 @@ from .errors import (
     SizeOverflow,
 )
 
-# element budget for one chunk of the M x L score matrix; a fixed working-set
-# size keeps the dense path's cache behavior uniform across problem sizes
+# element budget for one chunk of whole columns of the score matrix (MEMORY,
+# and QUERY past ``BOUND_SHIFT_LIMIT``); a fixed working-set size keeps the
+# dense path's cache behavior uniform across problem sizes.  A warm batch-d8
+# call (MEMORY, M = L = 4,096, d = 8) took a median 59.9 ms with 2^17-element
+# chunks against 48.3 ms with 2^20 (15 alternating rounds in one process).
 DENSE_CHUNK_ELEMENTS = 2**20
+
+# element budget and widest query run of one QUERY tile, memories x queries:
+# 2^17 doubles, 1 MiB, half of a 2 MiB L2, so a tile's score matmul, exp and
+# value matmul all find it in cache.  A call with fewer queries takes longer
+# memory runs, so one column against up to 2^17 memories is one tile.  Warm
+# batch-d4 calls (M = L = 16,384, d = 4), median ms of 7 alternating rounds
+# in one process (2-vCPU Xeon, OpenBLAS with 2 threads), by budget and
+# query run:
+#
+#   budget   16     32     64     128
+#   2^16     468    447    472    477
+#   2^17     471    445    475    480
+#   2^18     717    751    649    595
+#   2^19     653    659    614    573
+#
+# Whole columns, 64 queries by 16,384 memories (2^20, the chunks before
+# tiling), read 613 ms in the same process; budgets past half of L2 lose
+# most of the gain.  OpenBLAS sums a tile's value product along its memory
+# run in order, so a run of 4,096 left batch-d4 within 3.0e-15 of max|Z| of
+# a long-double reference, against 7.9e-16 for whole columns.
+DENSE_TILE_ELEMENTS = 2**17
+DENSE_TILE_COLUMNS = 32
 
 # element budget (rank x rows) for one block of QUERY monomials: 2^22
 # doubles, 32 MiB.  Common batch shapes stay in one block, such as 16,384
@@ -293,57 +322,84 @@ def _dense_side(patterns: PatternMatrix):
     return kept
 
 
-def _softmax_chunks(a1: np.ndarray, r_a: float, b: np.ndarray, b_norms, beta: float):
-    """Yield (cols, w) over chunks of b's columns, where a1 = [a; 1^T], r_a is
-    a's largest column norm and w = exp(beta a^T b[:, cols] - shift).  Column
-    j's shift is its score bound beta r_a ||b_j||: a1.T times the block
-    [beta b; -shift] subtracts it inside the matmul, so every weight is at
-    most 1 and no max pass runs.  Past ``BOUND_SHIFT_LIMIT`` each column's
-    max is subtracted too, and its largest weight is 1.  Each yielded w is
-    overwritten by the next chunk of the same width, so chunks do not fault
-    in a fresh array each."""
+def _softmax_chunks(
+    a1: np.ndarray, r_a: float, b: np.ndarray, b_norms, beta: float, whole: bool
+):
+    """Yield (rows, cols, w) over tiles of the score matrix, where a1 = [a; 1^T],
+    r_a is a's largest column norm and w = exp(beta a[:, rows]^T b[:, cols] -
+    shift).  Column j's shift is its score bound beta r_a ||b_j||: a1.T times
+    the block [beta b; -shift] subtracts it inside the matmul, so every weight
+    is at most 1 and no max pass runs.  Past ``BOUND_SHIFT_LIMIT`` each
+    column's max is subtracted too, and its largest weight is 1.
+
+    The tiles walk b's columns in runs and, within each run, a's columns in
+    runs.  Where ``whole`` is set or the max pass runs, a tile holds whole
+    columns, at most ``DENSE_CHUNK_ELEMENTS`` entries or one column;
+    otherwise at most ``DENSE_TILE_ELEMENTS`` entries, in runs of at most
+    ``DENSE_TILE_COLUMNS`` of b's columns where a's do not all fit.  Each w
+    is one buffer or a view of it, overwritten by the next tile, so tiles do
+    not fault in a fresh array each."""
     block = np.empty((b.shape[0] + 1, b.shape[1]))
     np.multiply(b, beta, out=block[:-1])
     shift = np.multiply(b_norms, -beta * r_a, out=block[-1])
     wide = -2.0 * float(shift.min()) > BOUND_SHIFT_LIMIT
-    chunk = max(1, DENSE_CHUNK_ELEMENTS // a1.shape[1])
-    w = None
-    for lo in range(0, b.shape[1], chunk):
-        cols = slice(lo, min(lo + chunk, b.shape[1]))
-        if w is None or w.shape[1] != cols.stop - lo:
-            w = np.empty((a1.shape[1], cols.stop - lo))
-        np.matmul(a1.T, block[:, cols], out=w)
-        if wide:
-            w -= w.max(axis=0)
-        np.exp(w, out=w)
-        yield cols, w
+    m, n = a1.shape[1], b.shape[1]
+    if whole or wide:
+        mt, budget = m, DENSE_CHUNK_ELEMENTS
+    else:
+        budget = DENSE_TILE_ELEMENTS
+        mt = min(m, max(1, budget // min(n, DENSE_TILE_COLUMNS)))
+    qt = min(n, max(1, budget // mt))
+    at, buf = a1.T, np.empty((mt, qt))
+    if mt == m and qt == n:  # one tile: no runs to cut, no views to take
+        yield slice(0, m), slice(0, n), _weights(at, block, buf, wide)
+        return
+    for lo in range(0, n, qt):
+        cols = slice(lo, min(lo + qt, n))
+        for top in range(0, m, mt):
+            rows = slice(top, min(top + mt, m))
+            w = buf[: rows.stop - top, : cols.stop - lo]
+            yield rows, cols, _weights(at[rows], block[:, cols], w, wide)
+
+
+def _weights(a_t: np.ndarray, b: np.ndarray, w: np.ndarray, wide: bool) -> np.ndarray:
+    """w = exp(a_t @ b), each column less its max first where ``wide``."""
+    np.matmul(a_t, b, out=w)
+    if wide:
+        w -= w.max(axis=0)
+    return np.exp(w, out=w)
 
 
 def retrieve_dense(
     memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig
 ) -> RetrievalResult:
-    """Exact softmax retrieval, Theta(dML), in one pass of one kernel.  Each
-    chunk holds whole normalizer vectors: QUERY chunks over query columns,
-    MEMORY over memories (a memory's score row arrives as a column).  Scores
+    """Exact softmax retrieval, Theta(dML), in one pass of one kernel.  Scores
     are shifted by their Cauchy-Schwarz bound, not by their maximum (see
-    ``_softmax_chunks``).  QUERY reads numerators and normalizers from one
-    matmul with the kept [Xi; 1^T]; MEMORY builds [X; 1^T] per call."""
+    ``_softmax_chunks``), so QUERY needs no whole column at once: it adds
+    each tile's [Xi; 1^T] product, read from the kept [Xi; 1^T], into its
+    query columns' numerators and normalizers, and divides once.  MEMORY
+    divides each memory's weights by its row sum before the value product,
+    so its chunks hold whole rows (a memory's score row arrives as a column)
+    and it builds [X; 1^T] per call."""
     _check_dims(memory, queries)
     xi, x = memory.data, queries.data
     start = time.perf_counter()
 
     if cfg.normalization is Normalization.QUERY:
         xi1, _, r_mem = _dense_side(memory)
-        z = np.empty((memory.d, queries.count))
+        nd = np.empty((memory.d + 1, queries.count))
         x_norms = np.hypot.reduce(x, axis=0)
-        for cols, w in _softmax_chunks(xi1, r_mem, x, x_norms, cfg.beta):
-            nd = xi1 @ w
-            z[:, cols] = nd[:-1] / nd[-1]
+        for rows, cols, w in _softmax_chunks(xi1, r_mem, x, x_norms, cfg.beta, False):
+            if rows.start:
+                nd[:, cols] += xi1[:, rows] @ w
+            else:
+                np.matmul(xi1[:, rows], w, out=nd[:, cols])
+        z = nd[:-1] / nd[-1]
     else:
         x1, _, r_qry = _dense_side(queries)
         xi_norms = _dense_side(memory)[1]
         z = np.zeros((memory.d, queries.count))
-        for rows, w in _softmax_chunks(x1, r_qry, xi, xi_norms, cfg.beta):
+        for _, rows, w in _softmax_chunks(x1, r_qry, xi, xi_norms, cfg.beta, True):
             z += (xi[:, rows] / w.sum(axis=0)) @ w.T
     return RetrievalResult(
         Z=z,

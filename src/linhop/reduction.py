@@ -47,13 +47,14 @@ class AnnsInstance:
     delta: float
 
     def __post_init__(self):
-        a = np.asarray(self.set_a, dtype=np.int64)
-        b = np.asarray(self.set_b, dtype=np.int64)
+        a, b = np.asarray(self.set_a), np.asarray(self.set_b)
         if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
             raise ValueError("set_a and set_b must share shape (n, d)")
+        # the raw values, before the cast could truncate 0.5 or 1.7 to 0/1
         for name, arr in (("set_a", a), ("set_b", b)):
-            if not np.isin(arr, (0, 1)).all():
+            if not ((arr == 0) | (arr == 1)).all():
                 raise ValueError(f"{name} entries must be 0/1")
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if not self.t > 0:
             raise ValueError("t must be positive")
         if not 0 < self.delta < 0.1:

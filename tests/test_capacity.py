@@ -367,6 +367,36 @@ def test_experiment_scoring_matches_per_trial_loop(monkeypatch, d, m, beta, seed
         assert abs(row["mean_error"] - float(np.mean(errors))) <= 1e-15
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_experiment_nearest_pattern_is_the_distance_argmin(monkeypatch, seed):
+    # the experiment takes the nearest pattern from the largest inner product;
+    # on the radius-m sphere that is the argmin of the distances, trial by trial
+    returned = []
+    inner = capacity.retrieve_dense
+
+    def recorded(memory, queries, cfg):
+        out = inner(memory, queries, cfg)
+        returned.append((memory.data, out.Z))
+        return out
+
+    monkeypatch.setattr(capacity, "retrieve_dense", recorded)
+    trials = 100
+    for d in (8, 16, 32, 64):
+        rows = run_capacity_experiment(
+            d, math.sqrt(d), 1.0, [2, 8, 64], trials=trials, rng_seed=seed
+        )
+        for row, (xi, z) in zip(rows, returned[-3:], strict=True):
+            _, targets, _ = experiment_draws(seed, row["M"], d, math.sqrt(d), trials)
+            by_distance = np.argmin(
+                np.linalg.norm(xi[:, :, None] - z[:, None, :], axis=0), axis=0
+            )
+            assert np.array_equal(np.argmax(xi.T @ z, axis=0), by_distance)
+            errors = np.linalg.norm(z - xi[:, targets], axis=0)
+            hits = (errors <= row["eps"]) & (by_distance == targets)
+            assert row["success_rate"] == np.count_nonzero(hits) / trials
+    assert len(returned) == 12
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

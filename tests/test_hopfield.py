@@ -380,10 +380,11 @@ def test_retrieve_dimension_mismatch():
 @pytest.mark.parametrize("per_chunk", [1, 2, None], ids=["1", "2", "all"])
 @pytest.mark.parametrize("normalization", ["QUERY", "MEMORY"])
 def test_dense_memory_normalization_across_chunks(monkeypatch, per_chunk, normalization):
-    # QUERY chunks over query columns, MEMORY over memories, so every chunk
-    # holds whole normalizer vectors.  Scores reach 800, so exp overflows
-    # without a shift; shifted along the other axis, memory -2's row and the
-    # last query's column underflow to a zero normalizer.
+    # Scores reach 800, so exp overflows without a shift, and both
+    # normalizations take the max pass, whose chunks hold whole normalizer
+    # vectors: QUERY's over query columns, MEMORY's over memories.  Shifted
+    # along the other axis, memory -2's row and the last query's column
+    # underflow to a zero normalizer.
     by_rows = normalization == "MEMORY"
     xi = np.vstack([np.linspace(-2.0, 2.0, 5), np.ones(5)])
     x = np.vstack([[*np.linspace(200.0, 400.0, 6), 300.0], [0.0] * 6 + [-2000.0]])
@@ -397,9 +398,9 @@ def test_dense_memory_normalization_across_chunks(monkeypatch, per_chunk, normal
     kernel = hopfield._softmax_chunks
 
     def recording(*args):
-        for cols, w in kernel(*args):
+        for rows, cols, w in kernel(*args):
             widths.append(w.shape[1])
-            yield cols, w
+            yield rows, cols, w
 
     monkeypatch.setattr(hopfield, "_softmax_chunks", recording)
     cfg = RetrievalConfig(beta=1.0, normalization=Normalization[normalization])
@@ -423,9 +424,9 @@ def _record_chunk_maxima(monkeypatch):
     kernel = hopfield._softmax_chunks
 
     def recording(*args):
-        for cols, w in kernel(*args):
+        for rows, cols, w in kernel(*args):
             maxima.append(w.max(axis=0))
-            yield cols, w
+            yield rows, cols, w
 
     monkeypatch.setattr(hopfield, "_softmax_chunks", recording)
     return maxima
@@ -449,6 +450,9 @@ def test_dense_bound_shift_matches_long_double(monkeypatch, per_chunk, normaliza
     chunked, other = (xi.shape[1], x.shape[1]) if by_rows else (x.shape[1], xi.shape[1])
     if per_chunk is not None:
         monkeypatch.setattr(hopfield, "DENSE_CHUNK_ELEMENTS", per_chunk * other)
+        # QUERY tiles of whole columns, per_chunk of them
+        monkeypatch.setattr(hopfield, "DENSE_TILE_ELEMENTS", per_chunk * other)
+        monkeypatch.setattr(hopfield, "DENSE_TILE_COLUMNS", per_chunk)
     maxima = _record_chunk_maxima(monkeypatch)
     cfg = RetrievalConfig(beta=2.0, normalization=normalization)
     out = retrieve_dense(PatternMatrix(xi), PatternMatrix(x, role="query"), cfg).Z
@@ -456,6 +460,80 @@ def test_dense_bound_shift_matches_long_double(monkeypatch, per_chunk, normaliza
     assert np.all(np.concatenate(maxima) < 1.0)
     ref = _long_double_reference(xi, x, cfg.beta, by_rows)
     assert max_norm_error(out, ref) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def _record_tiles(monkeypatch):
+    """Each tile's (rows, cols, w.shape)."""
+    tiles = []
+    kernel = hopfield._softmax_chunks
+
+    def recording(*args):
+        for rows, cols, w in kernel(*args):
+            tiles.append((rows, cols, w.shape))
+            yield rows, cols, w
+
+    monkeypatch.setattr(hopfield, "_softmax_chunks", recording)
+    return tiles
+
+
+@pytest.mark.parametrize(
+    "m, l, budget, columns",
+    [(50, 23, 64, 4), (5000, 45, None, None)],
+    ids=["small-tiles", "default-tiles"],
+)
+def test_dense_query_tiles_match_long_double(monkeypatch, m, l, budget, columns):
+    # ragged in both directions: memory runs of 16 (or 4,096) leave 2 (or
+    # 904) over, query runs of 4 (or 32) leave 3 (or 13)
+    if budget is not None:
+        monkeypatch.setattr(hopfield, "DENSE_TILE_ELEMENTS", budget)
+        monkeypatch.setattr(hopfield, "DENSE_TILE_COLUMNS", columns)
+    tiles = _record_tiles(monkeypatch)
+    rng = np.random.default_rng(43)
+    xi, x = rng.uniform(-1, 1, (5, m)), rng.uniform(-1, 1, (5, l))
+    out = retrieve_dense(PatternMatrix(xi), PatternMatrix(x, role="query"), RetrievalConfig(beta=2.0)).Z
+    mt = max(rows.stop - rows.start for rows, _, _ in tiles)
+    qt = max(cols.stop - cols.start for _, cols, _ in tiles)
+    assert mt < m and qt < l
+    assert {rows.stop - rows.start for rows, _, _ in tiles} == {mt, m % mt}
+    assert {cols.stop - cols.start for _, cols, _ in tiles} == {qt, l % qt}
+    ref = _long_double_reference(xi, x, 2.0, False)
+    assert max_norm_error(out, ref) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def test_dense_tiles_keep_their_budgets(monkeypatch):
+    tiles = _record_tiles(monkeypatch)
+    rng = np.random.default_rng(44)
+
+    def run(m, l, normalization=Normalization.QUERY, beta=1.0):
+        tiles.clear()
+        xi, x = rng.uniform(-1, 1, (4, m)), rng.uniform(-1, 1, (4, l))
+        cfg = RetrievalConfig(beta=beta, normalization=normalization)
+        out = retrieve_dense(PatternMatrix(xi), PatternMatrix(x, role="query"), cfg).Z
+        ref = _long_double_reference(xi, x, beta, normalization is Normalization.MEMORY)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        # the tiles cover the score matrix once, a's runs by b's columns
+        a_count, b_count = (l, m) if normalization is Normalization.MEMORY else (m, l)
+        cover = np.zeros((a_count, b_count), dtype=int)
+        for rows, cols, shape in tiles:
+            assert shape == (rows.stop - rows.start, cols.stop - cols.start)
+            cover[rows, cols] += 1
+        assert np.all(cover == 1)
+        return tiles
+
+    # QUERY, bound shift: every tile within the budget, memories split
+    assert all(r * c <= hopfield.DENSE_TILE_ELEMENTS for _, _, (r, c) in run(9000, 70))
+    assert len({rows.start for rows, _, _ in tiles}) == 3
+    # one column, as a stream call or a fixed-point step: one tile
+    assert len(run(4096, 1)) == 1
+    assert len(run(60_000, 1)) == 1
+    # a capacity batch: one tile
+    assert len(run(64, 200)) == 1
+    # MEMORY: every chunk holds whole rows, each memory's scores on every query
+    assert all(r == 5000 for _, _, (r, c) in run(300, 5000, Normalization.MEMORY))
+    assert len(tiles) > 1
+    # QUERY past BOUND_SHIFT_LIMIT: every tile holds whole columns
+    wide = run(9000, 70, beta=2.0 * hopfield.BOUND_SHIFT_LIMIT)
+    assert all(r == 9000 for _, _, (r, c) in wide)
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,23 @@ def test_instance_validation():
         AnnsInstance(np.array([[0, 1]]), np.array([[0, 1]]), t=1.0, delta=0.5)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan], ids=["half", "1.7", "nan"])
+def test_instance_refuses_non_binary_entries(bad):
+    # checked before the int64 cast, which would truncate 0.5 to 0 and 1.7 to 1
+    with pytest.raises(ValueError, match="set_a entries must be 0/1"):
+        AnnsInstance(np.array([[bad, 1.0]]), np.array([[0, 1]]), t=1.0, delta=0.05)
+    with pytest.raises(ValueError, match="set_b entries must be 0/1"):
+        AnnsInstance(np.array([[0, 1]]), np.array([[1.0, bad]]), t=1.0, delta=0.05)
+
+
+def test_instance_accepts_binary_floats_and_bools():
+    inst = AnnsInstance(
+        np.array([[0.0, 1.0]]), np.array([[True, False]]), t=1.0, delta=0.05
+    )
+    for arr, expected in ((inst.set_a, [[0, 1]]), (inst.set_b, [[1, 0]])):
+        assert arr.dtype == np.int64 and arr.tolist() == expected
+
+
 def test_brute_force_identical_sets():
     a = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
     inst = AnnsInstance(a, a.copy(), t=1.0, delta=0.05)
