@@ -77,6 +77,18 @@ def test_retrieve_dense_and_lowrank_agree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_retrieve_infinite_beta_exits_1(tmp_path, capsys):
+    m_path, q_path = write_patterns(tmp_path)
+    for mode in ("dense", "lowrank"):
+        out = tmp_path / f"z-{mode}.csv"
+        code = main(["retrieve", "--memory", str(m_path), "--queries", str(q_path),
+                     "--beta", "inf", "--mode", mode, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: beta must be finite and positive")
+
+
 def test_retrieve_missing_file_exits_1(tmp_path, capsys):
     code = main(["retrieve", "--memory", str(tmp_path / "none.csv"),
                  "--queries", str(tmp_path / "none.csv"),

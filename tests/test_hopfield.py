@@ -1003,33 +1003,79 @@ def test_high_rank_query_retrieval_agrees_in_both_block_orders(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "change", ["beta", "normalization", "delta_a", "query_norm", "fit_cache_clear"]
+    "change, rebuilt",
+    [("beta", False), ("beta_refit", False), ("normalization", True),
+     ("delta_a", False), ("query_norm", True), ("fit_cache_clear", False)],
+    ids=["beta", "beta_refit", "normalization", "delta_a", "query_norm",
+         "fit_cache_clear"],
 )
-def test_lowrank_memory_side_is_rebuilt_on_change(monkeypatch, change):
+def test_lowrank_memory_side_is_rebuilt_on_change(monkeypatch, change, rebuilt):
+    # the kept memory side depends only on the normalization and the degree:
+    # another beta, a fit of another interval or delta_a at the same degree
+    # and a refit after the fit cache is cleared reuse it, while a new
+    # normalization or degree rebuilds it; either way Z has a fresh memory's
+    # bits
     rng = np.random.default_rng(32)
-    mem = random_patterns(rng, 4, 50)
+    data = random_patterns(rng, 4, 50).data
     q = random_patterns(rng, 4, 6, b=0.5, role="query")
-    cfg = RetrievalConfig(beta=0.5)
-    first = retrieve_lowrank(mem, q, cfg)
-    if change == "beta":
-        # the same snapped fit interval, so only sqrt(beta) tells them apart
-        cfg = replace(cfg, beta=0.48)
-        assert hopfield.plan(mem, q, cfg)[0] is hopfield.plan(mem, q, replace(cfg, beta=0.5))[0]
-    elif change == "normalization":
-        cfg = replace(cfg, normalization=Normalization.MEMORY)
-    elif change == "delta_a":
-        cfg = replace(cfg, delta_a=1e-5)
-    elif change == "query_norm":
-        q = PatternMatrix(4.0 * q.data, role="query")
-    else:
-        monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
     rows = _count_memory_rows(monkeypatch)
-    out = retrieve_lowrank(mem, q, cfg)
-    assert sum(rows) == mem.count
-    if change == "query_norm":
-        assert out.degree_used > first.degree_used
-    fresh = retrieve_lowrank(PatternMatrix(mem.data), q, cfg).Z
-    assert max_norm_error(out.Z, fresh) <= 1e-12
+    for normalization in Normalization:
+        mem = PatternMatrix(data)
+        beta = 0.4 if change == "beta_refit" else 0.5
+        cfg = RetrievalConfig(beta=beta, normalization=normalization)
+        first = retrieve_lowrank(mem, q, cfg)
+        fit = hopfield.plan(mem, q, cfg)[0]
+        queries = q
+        if change == "beta":
+            # the same snapped fit interval, so the same fit
+            cfg = replace(cfg, beta=0.48)
+            assert hopfield.plan(mem, q, cfg)[0] is fit
+        elif change == "beta_refit":
+            # the next snapped interval, fitted at the same degree with
+            # other coefficients
+            cfg = replace(cfg, beta=0.32)
+            weights = hopfield.plan(mem, q, cfg)[0].fmap.weights
+            assert not np.array_equal(weights, fit.fmap.weights)
+        elif change == "normalization":
+            other = next(n for n in Normalization if n is not normalization)
+            cfg = replace(cfg, normalization=other)
+        elif change == "delta_a":
+            cfg = replace(cfg, delta_a=5e-4)
+        elif change == "query_norm":
+            queries = PatternMatrix(4.0 * q.data, role="query")
+        else:
+            monkeypatch.setattr(hopfield, "_FIT_CACHE", {})
+        rows.clear()
+        out = retrieve_lowrank(mem, queries, cfg)
+        assert sum(rows) == (mem.count if rebuilt else 0), normalization
+        if change in ("beta_refit", "delta_a", "fit_cache_clear"):
+            # a new fit at the same degree: only its weights are applied
+            assert hopfield.plan(mem, queries, cfg)[0].fmap is not fit.fmap
+            assert out.degree_used == first.degree_used
+        if change == "query_norm":
+            assert out.degree_used > first.degree_used
+        fresh = retrieve_lowrank(PatternMatrix(data), queries, cfg).Z
+        assert np.array_equal(out.Z, fresh), normalization
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("exponent", [70, -70])
+def test_lowrank_holds_at_extreme_entry_bounds(d, exponent):
+    # the memory rows are scaled by a power of two to entries below 1, so
+    # B = 2^70 or 2^-70 with beta d B^2 about 9 stays finite and certified;
+    # left unscaled, the monomials of a high degree over- or underflow
+    bound = 2.0**exponent
+    rng = np.random.default_rng(37)
+    mem = PatternMatrix(bound * rng.uniform(-1, 1, (d, 40)))
+    q = PatternMatrix(bound * rng.uniform(-1, 1, (d, 7)), role="query")
+    beta = 9.0 / (d * max(mem.max_norm, q.max_norm) ** 2)
+    for normalization in Normalization:
+        cfg = RetrievalConfig(beta=beta, normalization=normalization)
+        low = retrieve_lowrank(mem, q, cfg)
+        assert np.isfinite(low.Z).all()
+        assert low.degree_used > 1
+        err = max_norm_error(low.Z, retrieve_dense(mem, q, cfg).Z)
+        assert err <= low.error_bound, (normalization, err, low.error_bound)
 
 
 @pytest.mark.parametrize("rows_per_block", [3, 1])
@@ -1047,8 +1093,12 @@ def test_query_blocks_match_unblocked_factors(monkeypatch, rows_per_block):
     out = retrieve_lowrank(mem, q, cfg)
     assert rows == [rows_per_block] * (50 // rows_per_block) + [2] * (rows_per_block == 3)
 
-    scale = math.sqrt(cfg.beta)
-    u1, u2 = build_factor_matrices(fmap, scale * mem.data.T, scale * q.data.T)
+    # memory rows scaled by 2^-e, e the exponent of their largest entry, and
+    # query rows by beta 2^e
+    e = math.frexp(mem.max_norm)[1]
+    u1, u2 = build_factor_matrices(
+        fmap, np.ldexp(mem.data.T, -e), math.ldexp(cfg.beta, e) * q.data.T
+    )
     state = np.vstack([mem.data, np.ones(50)]) @ u1
     numer = state @ u2.T
     # only the summation order differs.  Z is a convex combination of
@@ -1056,7 +1106,7 @@ def test_query_blocks_match_unblocked_factors(monkeypatch, rows_per_block):
     # near-uniform weights average Z down to a few tenths of B
     eps = np.finfo(float).eps
     assert max_norm_error(out.Z, numer[:-1] / numer[-1]) <= 8 * eps * mem.max_norm
-    kept = mem.__dict__["_lowrank_state"][3]
+    kept = mem.__dict__["_lowrank_state"][4]
     assert max_norm_error(kept, state) <= 8 * eps * np.max(np.abs(state))
     norms = lowrank_normalizers(mem, q, cfg)
     assert np.max(np.abs(norms / numer[-1] - 1.0)) <= 8 * eps
@@ -1231,10 +1281,13 @@ def _three_by_four():
     [
         (lambda: PatternMatrix(np.zeros((0, 3))), DimensionMismatch,
          "pattern dimension must be >= 1"),
-        (lambda: RetrievalConfig(beta=0.0), ValueError, "beta must be positive"),
+        (lambda: RetrievalConfig(beta=0.0), ValueError, "beta must be finite and positive"),
+        (lambda: RetrievalConfig(beta=math.inf), ValueError,
+         "beta must be finite and positive"),
         (lambda: RetrievalConfig(beta=1.0, delta_a=0.1), ValueError,
          "delta_a must lie in (0, 0.1)"),
-        (lambda: lse(0.0, [1.0, 2.0]), ValueError, "beta must be positive"),
+        (lambda: lse(0.0, [1.0, 2.0]), ValueError, "beta must be finite and positive"),
+        (lambda: lse(math.inf, [1.0, 2.0]), ValueError, "beta must be finite and positive"),
         (lambda: pattern_radius(PatternMatrix(np.ones((3, 1)))), SingleMemory,
          "pattern_radius needs at least two stored patterns"),
         (lambda: retrieval_error_bound(_three_by_four(), np.zeros(2), 0, 1.0, 1.0, 1e-3),
@@ -1243,7 +1296,8 @@ def _three_by_four():
          DimensionMismatch, "query length 2 != d 3"),
     ],
     ids=[
-        "zero-rows", "config-beta", "config-delta", "lse-beta", "radius-single-memory",
+        "zero-rows", "config-beta", "config-beta-inf", "config-delta", "lse-beta",
+        "lse-beta-inf", "radius-single-memory",
         "error-bound-query-length", "fixed-point-query-length",
     ],
 )
