@@ -30,23 +30,21 @@ The low-rank path fits an exp polynomial on the score interval, factors it
 through the monomial feature map, and assembles the output with the
 associativity order that never materializes the M x L score matrix.  The
 memory rows are scaled by the power of two 2^-e that puts every entry below
-1, which is exact, and the query rows carry beta 2^e.  So the memory's
-monomials depend only on the degree: they are built once per memory matrix
-and degree, in O(M r) monomial work for rank r, and kept on it unweighted,
-and each fit applies its coefficient weights to them once.  For QUERY the
-kept state is the (d+1) x r product [Xi; 1^T] @ U1, after which a call costs
-O(L r d) whatever M is; for MEMORY it is the M x r factor U1 itself.  One
-pass (``_lowrank``) fits, factors and normalizes under either convention,
-and every low-rank caller reads it.  QUERY never holds U1 or U2 whole: both
-sides walk their rows in blocks of ``FACTOR_BLOCK_ELEMENTS`` entries and
-contract each block at once, so its working memory is one block instead of
-O((M + L) r).  The first block allocates the buffer, in the order
-``feature_map`` picks from its shape, and every later block reuses it.
-Queries that fit one block, such as one column, skip the walk: one
-``build_factor_matrices`` call and one matmul, so a warm one-column call
-costs its r (d + 1) multiply-adds plus a few numpy calls.  Skipping the
-walk saved a median 2.7 us of a 29 us one-column call (10 alternating
-rounds in one process, 2-vCPU Xeon).
+1, which is exact, and the query rows carry beta 2^e, so the memory side of
+that factorization does not depend on beta.  It is built once per memory
+matrix and fit, in O(M r) monomial work for rank r, and kept on it: for QUERY
+the (d+1) x r state [Xi; 1^T] @ U1, after which a call costs O(L r d)
+whatever M is; for MEMORY the M x r factor U1 itself.  One pass
+(``_lowrank``) fits, factors and normalizes under either convention, and
+every low-rank caller reads it.  QUERY never holds U1 or U2 whole: both sides
+walk their rows in blocks of ``FACTOR_BLOCK_ELEMENTS`` entries and contract
+each block at once, so its working memory is one block instead of
+O((M + L) r).  The first block allocates the buffer, in the order ``feature_map`` picks
+from its shape, and every later block reuses it.  Queries that fit one block,
+such as one column, skip the walk: one ``build_factor_matrices`` call and one
+matmul, so a warm one-column call costs its r (d + 1) multiply-adds plus a
+few numpy calls.  Skipping the walk saved a median 2.7 us of a 29 us
+one-column call (10 alternating rounds in one process, 2-vCPU Xeon).
 
 ``fixed_point_iterate`` shares each step's Xi^T x between the exact energy
 and a convergence screen built from the column norms the dense path keeps;
@@ -465,7 +463,7 @@ def plan(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
             entry = Plan(reason="degree-exhausted", message=str(exc))
         except SizeOverflow as exc:
             entry = Plan(reason="rank-overflow", message=str(exc))
-        if len(_FIT_CACHE) > 64:  # evict the oldest; its refit only reweights
+        if len(_FIT_CACHE) > 64:  # evict the oldest; kept memory states key on fmap
             del _FIT_CACHE[next(iter(_FIT_CACHE))]
         _FIT_CACHE[key] = entry
     return entry, b
@@ -495,50 +493,44 @@ def _monomial_blocks(fmap, rows: np.ndarray):
 
 
 def _memory_state(memory: PatternMatrix, fmap, normalization: Normalization):
-    """The weighted memory side of the factored retrieval: [Xi; 1^T] @ U1
-    ((d+1) x r) for QUERY, U1 (M x r) for MEMORY.
+    """The memory side of the factored retrieval: [Xi; 1^T] @ U1 ((d+1) x r)
+    for QUERY, U1 (M x r) for MEMORY.  U1's rows are the weighted monomials
+    of the memory rows scaled by 2^-e, e the exponent of the largest entry B
+    (B = m 2^e, 1/2 <= m < 1), so every scaled entry lies below 1 and the
+    scaling is exact; the query side carries beta 2^e, so the state does not
+    depend on beta.  It is kept on a memory-role matrix, whose data cannot
+    change, and rebuilt when the feature map (a new fit, or a refit after its
+    fit-cache entry was evicted) or the normalization differs.
 
-    U1's rows are the monomials of the memory rows scaled by 2^-e, e the
-    exponent of the largest entry B (B = m 2^e, 1/2 <= m < 1), so every
-    scaled entry lies below 1 and the scaling is exact; the query side
-    carries beta 2^e.  Those monomials depend on neither the fit, beta nor
-    delta_a, only on the degree, so a memory-role matrix, whose data cannot
-    change, keeps them unweighted, keyed on (normalization, rank): for QUERY
-    the r x (d+1) sum of U_blk^T [Xi; 1^T]_blk^T over the blocks of
-    ``_monomial_blocks`` (kept as its transpose), reading the [Xi; 1^T] the
-    dense path keeps; for MEMORY the monomials U1 themselves.  A new
-    normalization or degree rebuilds them, in O(M r) monomial work.  Each
-    fit's coefficient weights multiply them once (r (d+1) multiplies for
-    QUERY, M r for MEMORY), and the product is kept for the current
-    ``fmap``.  So another beta on the same fit costs nothing, and another
-    fit at the same degree (another snapped interval or delta_a, or a refit
-    after fit-cache eviction) costs that reweight.  The U^T-first order is
-    kept because OpenBLAS ran the (d+1) x M @ M x r order 2-4x slower at
-    M = 16384, with 50-150 ms stalls while another process held a core."""
+    QUERY never forms U1: it sums U_blk^T [Xi; 1^T]_blk^T over the blocks of
+    ``_monomial_blocks``, reading the [Xi; 1^T] the dense path keeps, and
+    applies the coefficient weights once to the r x (d+1) sum, r (d+1)
+    multiplies instead of M r.  The U^T-first order is kept because OpenBLAS
+    ran the (d+1) x M @ M x r order 2-4x slower at M = 16384, with 50-150 ms
+    stalls while another process held a core."""
     kept = memory.__dict__.get("_lowrank_state")
-    if kept is not None and kept[0] is normalization and kept[3] is fmap:
-        return kept[4]
-    if kept is None or kept[0] is not normalization or kept[1] != fmap.rank:
-        rows = np.ldexp(memory.data.T, -math.frexp(memory.max_norm)[1])
-        if normalization is Normalization.QUERY:
-            xi1 = _dense_side(memory)[0]
-            acc = np.zeros((fmap.rank, memory.d + 1))
-            part, side = np.empty_like(acc), acc.T
-            for block, u in _monomial_blocks(fmap, rows):
-                acc += np.matmul(u.T, xi1[:, block].T, out=part)
-        else:
-            side = fm.build_factor_matrices(fmap, rows[:0], rows)[1]
-        kept = (normalization, fmap.rank, side)
-    state = kept[2] * fmap.weights
+    if kept is not None and kept[0] is fmap and kept[1] is normalization:
+        return kept[2]
+    rows = np.ldexp(memory.data.T, -math.frexp(memory.max_norm)[1])
+    if normalization is Normalization.QUERY:
+        xi1 = _dense_side(memory)[0]
+        acc = np.zeros((fmap.rank, memory.d + 1))
+        part = np.empty_like(acc)
+        for block, u in _monomial_blocks(fmap, rows):
+            acc += np.matmul(u.T, xi1[:, block].T, out=part)
+        acc *= fmap.weights[:, None]
+        state = acc.T
+    else:
+        state, _ = fm.build_factor_matrices(fmap, rows, rows[:0])
     state.flags.writeable = False
     if memory.role == "memory":
-        memory.__dict__["_lowrank_state"] = kept[:3] + (fmap, state)
+        memory.__dict__["_lowrank_state"] = (fmap, normalization, state)
     return state
 
 
 def _lowrank(memory: PatternMatrix, queries: PatternMatrix, cfg: RetrievalConfig):
     """The one factored pass: (poly, fmap, B, norm, parts), with the fit,
-    the weighted memory state of ``_memory_state`` and the monomials of
+    the kept memory state of ``_memory_state`` and the monomials of
     beta 2^e X, e the exponent of the memory's largest entry, whose product
     carries exp(beta Xi^T X) to delta_a.  A refused plan raises its error,
     ``DegreeExhausted`` or ``SizeOverflow``, with the refused fit's message.
